@@ -267,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
 
     ap = argparse.ArgumentParser(
         prog="protoseq",
@@ -337,6 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", "--M", dest="m", type=int)
     c.add_argument("--g", "--G", dest="g", type=int)
     c.add_argument("--delta", type=int)
+    c.add_argument("--format", choices=["json", "csv"], default="json")
     c.set_defaults(func=cmd_compare)
     return ap
 

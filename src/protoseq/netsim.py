@@ -17,10 +17,11 @@ period, so a scenario's sequence set must have period L.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +110,14 @@ class User:
 
 @dataclass
 class Scenario:
+    """One superframe's users, schedules and timing, validated.
+
+    Validation also fixes the geometry every consumer reads: `positions`
+    (k x 2), the pairwise distance matrix `dist` (k x k) and `hearing`, the
+    (receiver, transmitter) index arrays of every ordered pair closer than
+    R, receiver-major with ascending transmitters.
+    """
+
     timing: TimingModel
     R_m: float
     h_m: float
@@ -131,13 +140,18 @@ class Scenario:
             raise ValueError(
                 f"sequence period {self.sequence_set.period} must equal frame "
                 f"length {self.timing.frame_slots}")
+        self._check_offsets()
+        self._resolve_labels()
+        self._build_geometry()
+        self._check_allocation_constraint()
+        self._check_interferer_cap()
+        self._check_propagation_bound()
+
+    def _check_offsets(self):
         bound = self.timing.tau_s * self.timing.delta_c_slots
         for u in self.users:
             if u.offset_s is not None and not -1e-12 <= u.offset_s <= bound + 1e-12:
                 raise ValueError(f"offset of {u.id!r} outside [0, {bound}]")
-        self._resolve_labels()
-        self._check_allocation_constraint()
-        self._check_interferer_cap()
 
     def _resolve_labels(self):
         labels = []
@@ -168,56 +182,99 @@ class Scenario:
         self.cells: tuple[HexCell, ...] = tuple(cells)
         self.label_from_plan: tuple[bool, ...] = tuple(from_plan)
 
+    def _build_geometry(self):
+        xy = np.array([(u.x, u.y) for u in self.users],
+                      dtype=np.float64).reshape(-1, 2)
+        x, y = xy[:, 0], xy[:, 1]
+        dist = x[:, None] - x[None, :]
+        np.hypot(dist, y[:, None] - y[None, :], out=dist)
+        hears = dist < self.R_m
+        np.fill_diagonal(hears, False)
+        self.positions: np.ndarray = xy
+        self.dist: np.ndarray = dist
+        self.hearing: tuple[np.ndarray, np.ndarray] = np.nonzero(hears)
+
     def _check_allocation_constraint(self):
         # plan-derived labels must respect the reuse distance; explicitly
         # labeled users are the scenario author's responsibility (collision
         # scenarios are legitimate experiments)
-        k = len(self.users)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not (self.label_from_plan[i] and self.label_from_plan[j]):
-                    continue
-                if self.resolved_labels[i] != self.resolved_labels[j]:
-                    continue
-                d = math.hypot(self.users[i].x - self.users[j].x,
-                               self.users[i].y - self.users[j].y)
-                if d < 2 * self.R_m * (1 - 1e-12):
-                    raise ValueError(
-                        f"users {self.users[i].id!r} and {self.users[j].id!r} share "
-                        f"label {self.resolved_labels[i]!r} at distance {d:.3f} m "
-                        f"< 2R = {2 * self.R_m:.3f} m")
+        lab = np.array(self.resolved_labels, dtype=str)
+        planned = np.array(self.label_from_plan, dtype=bool)
+        clash = (planned[:, None] & planned[None, :]
+                 & (lab[:, None] == lab[None, :])
+                 & (self.dist < 2 * self.R_m * (1 - 1e-12)))
+        first, second = np.nonzero(np.triu(clash, 1))
+        if first.size:
+            i, j = int(first[0]), int(second[0])
+            raise ValueError(
+                f"users {self.users[i].id!r} and {self.users[j].id!r} share "
+                f"label {self.resolved_labels[i]!r} at distance "
+                f"{float(self.dist[i, j]):.3f} m < 2R = {2 * self.R_m:.3f} m")
 
     def _check_interferer_cap(self):
-        # densest closed disk of radius R must hold at most M users; it is
-        # enough to test disks centered at a user and disks with two users
-        # on the boundary
-        pts = [(u.x, u.y) for u in self.users]
-        k = len(pts)
+        """The densest closed disk of radius R must hold at most M users.
+
+        It is enough to test disks centred at a user and disks with two
+        users on the boundary.  The centre of a two-point disk through
+        users i and j lies R from i (d/2 <= R + tol/2 when the pair is
+        just over 2R apart), so every user within R + tol of the centre
+        lies within 2R + 2 tol of i, with room left for rounding.  Counting
+        each centre against that neighbourhood of i alone therefore finds
+        every user the disk holds, and the count is exact.  Centres are
+        counted in chunks of about max(k^2 / 8, 4096) (centre, user) tests,
+        so the work arrays stay within the size of the distance matrix.
+        """
         R = self.R_m
         tol = 1e-9 * max(1.0, R)
+        dist = self.dist
+        x, y = self.positions[:, 0], self.positions[:, 1]
+        worst = int((dist <= R + tol).sum(axis=1).max(initial=0))
 
-        def count(cx, cy):
-            return sum(1 for (x, y) in pts if math.hypot(x - cx, y - cy) <= R + tol)
+        i, j = np.nonzero(np.triu((dist > 0) & (dist <= 2 * R + tol), 1))
+        d = dist[i, j]
+        mx, my = (x[i] + x[j]) / 2, (y[i] + y[j]) / 2
+        t = np.sqrt(np.maximum(R * R - (d / 2) ** 2, 0.0)) / d
+        ux, uy = -(y[j] - y[i]), (x[j] - x[i])
+        cx = np.concatenate((mx + t * ux, mx - t * ux))
+        cy = np.concatenate((my + t * uy, my - t * uy))
+        owner = np.concatenate((i, i))
 
-        worst = 0
-        for x, y in pts:
-            worst = max(worst, count(x, y))
-        for i in range(k):
-            for j in range(i + 1, k):
-                xi, yi = pts[i]
-                xj, yj = pts[j]
-                d = math.hypot(xi - xj, yi - yj)
-                if d > 2 * R + tol or d == 0:
-                    continue
-                mx, my = (xi + xj) / 2, (yi + yj) / 2
-                t = math.sqrt(max(R * R - (d / 2) ** 2, 0.0)) / d
-                ux, uy = -(yj - yi), (xj - xi)
-                for s in (t, -t):
-                    worst = max(worst, count(mx + s * ux, my + s * uy))
+        near = dist <= 2 * R + 2 * tol
+        members = np.nonzero(near)[1]          # each row's neighbourhood, in row order
+        size = near.sum(axis=1)
+        first = np.cumsum(size) - size
+        tests = size[owner]
+        ends = np.cumsum(tests)
+        chunk = max(dist.size // 8, 1 << 12)
+        cuts = np.searchsorted(ends, np.arange(chunk, ends[-1] if ends.size else 0, chunk))
+        bounds = [0, *cuts.tolist(), owner.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            centre = np.repeat(np.arange(hi - lo), tests[lo:hi])
+            p = members[_ranges(first[owner[lo:hi]], tests[lo:hi])]
+            inside = np.hypot(x[p] - cx[lo:hi][centre],
+                              y[p] - cy[lo:hi][centre]) <= R + tol
+            worst = max(worst, int(np.bincount(centre[inside]).max(initial=0)))
         self.max_disk_users = worst
         if worst > self.M:
             raise ValueError(
                 f"{worst} users fit in one hearing disk; exceeds M = {self.M}")
+
+    def _check_propagation_bound(self):
+        # an arrival later than delta_p slots falls outside the window the
+        # frame structure and the simulator's slot bookkeeping allow for
+        if self.slot_synchronized:
+            return
+        rx, tx = self.hearing
+        delay = self.dist[tx, rx] / (SPEED_OF_LIGHT * self.timing.tau_s)
+        over = np.nonzero(delay > self.timing.delta_p_slots)[0]
+        if over.size:
+            n = int(over[0])
+            b, a = int(rx[n]), int(tx[n])
+            raise ValueError(
+                f"users {self.users[b].id!r} and {self.users[a].id!r} are "
+                f"{float(self.dist[a, b]):.3f} m apart: propagation delay "
+                f"{float(delay[n]):.3f} slots exceeds delta_p = "
+                f"{self.timing.delta_p_slots} slots")
 
     # -- config I/O ---------------------------------------------------------
 
@@ -317,15 +374,19 @@ class ReceptionLog:
         return self.end_slots * self.tau_s
 
     def to_csv(self, path: str) -> None:
+        ids = self.user_ids
         with open(path, "w") as fh:
             fh.write("tx,rx,slot,t_arrive_s,t_end_s,contention_free\n")
-            for i in range(len(self)):
-                fh.write(f"{self.user_ids[self.tx[i]]},"
-                         f"{self.user_ids[self.rx[i]]},"
-                         f"{int(self.slot[i])},"
-                         f"{float(self.arrive_slots[i] * self.tau_s)!r},"
-                         f"{float(self.end_slots[i] * self.tau_s)!r},"
-                         f"{int(self.contention_free[i])}\n")
+            # a block of rows at a time keeps the Python lists small
+            for lo in range(0, len(self), 1 << 10):
+                part = slice(lo, lo + (1 << 10))
+                rows = zip(self.tx[part].tolist(), self.rx[part].tolist(),
+                           self.slot[part].tolist(),
+                           (self.arrive_slots[part] * self.tau_s).tolist(),
+                           (self.end_slots[part] * self.tau_s).tolist(),
+                           self.contention_free[part].tolist())
+                fh.writelines(f"{ids[tx]},{ids[rx]},{slot},{ta!r},{te!r},{int(cf)}\n"
+                              for tx, rx, slot, ta, te, cf in rows)
 
 
 def _tx_slots(seq_ones, shift: int, period: int, total: int) -> np.ndarray:
@@ -334,8 +395,19 @@ def _tx_slots(seq_ones, shift: int, period: int, total: int) -> np.ndarray:
     return (reps[:, None] + pos[None, :]).ravel()
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices that concatenate the ranges [starts[i], starts[i] + lens[i])."""
+    ends = np.cumsum(lens)
+    return (np.arange(ends[-1] if ends.size else 0)
+            + np.repeat(starts - ends + lens, lens))
+
+
 def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
-    """Simulate one superframe; deterministic for a given scenario and seed."""
+    """Simulate one superframe; deterministic for a given scenario and seed.
+
+    Rows are grouped by receiver in ascending order; within a receiver
+    they are sorted by arrival, ties kept in (transmitter, slot) order.
+    """
     rng = np.random.default_rng(seed)
     users = sc.users
     k = len(users)
@@ -352,66 +424,64 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
                   users[i].shift, n, total)
         for i in range(k)
     ]
+    lens = np.array([s.size for s in slots_by_user], dtype=np.int64)
+    all_slots = np.concatenate([np.zeros(0, dtype=np.int64), *slots_by_user])
 
-    xs = np.array([u.x for u in users])
-    ys = np.array([u.y for u in users])
-    dist = np.hypot(xs[:, None] - xs[None, :], ys[:, None] - ys[None, :])
+    # one row per (receiver b, transmitter a, slot of a), b-major
+    rx_pair, tx_pair = sc.hearing
+    per_pair = lens[tx_pair]
+    tx = np.repeat(tx_pair.astype(np.int32), per_pair)
+    rx = np.repeat(rx_pair.astype(np.int32), per_pair)
+    slot = all_slots[_ranges((np.cumsum(lens) - lens)[tx_pair], per_pair)]
     if sc.slot_synchronized:
-        delay = np.zeros_like(dist)
+        delay = np.zeros(tx_pair.size)
     else:
-        delay = dist / (SPEED_OF_LIGHT * tm.tau_s)
+        delay = sc.dist[tx_pair, rx_pair] / (SPEED_OF_LIGHT * tm.tau_s)
+    start = t[tx]
+    start += slot
+    start += np.repeat(delay, per_pair)
 
-    off = tm.delta_c_slots + 2   # index shift so own-slot lookups stay in range
-    out_tx, out_rx, out_slot, out_s, out_cf = [], [], [], [], []
-    for b in range(k):
-        seg_tx, seg_slot, seg_start = [], [], []
-        for a in range(k):
-            if a == b or dist[a, b] >= sc.R_m:
-                continue
-            st = t[a] + slots_by_user[a] + delay[a, b]
-            seg_tx.append(np.full(st.size, a, dtype=np.int32))
-            seg_slot.append(slots_by_user[a])
-            seg_start.append(st)
-        if not seg_tx:
-            continue
-        txv = np.concatenate(seg_tx)
-        slotv = np.concatenate(seg_slot)
-        startv = np.concatenate(seg_start)
-        order = np.argsort(startv, kind="stable")
-        txv, slotv, startv = txv[order], slotv[order], startv[order]
-        endv = startv + 1.0
+    # sort each receiver's rows by arrival; a stable sort keeps ties in
+    # (a, slot) order
+    cut = (np.flatnonzero(rx[1:] != rx[:-1]) + 1).tolist()
+    order = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [lo + np.argsort(start[lo:hi], kind="stable")
+           for lo, hi in zip([0] + cut, cut + [rx.size])])
+    tx, rx, slot, start = tx[order], rx[order], slot[order], start[order]
+    del order
+    end = start + 1.0
 
-        prev_end = np.concatenate(([-np.inf], np.maximum.accumulate(endv)[:-1]))
-        coll = startv < prev_end
-        coll[:-1] |= startv[1:] < endv[:-1]
+    # sorted by start within a receiver, so the latest earlier end is the
+    # previous row's end; any positive-measure overlap destroys both
+    overlap = (rx[1:] == rx[:-1]) & (start[1:] < end[:-1])
+    coll = np.zeros(start.size, dtype=bool)
+    coll[1:] = overlap
+    coll[:-1] |= overlap
 
-        own = np.zeros(total + 2 * tm.delta_slots + 6, dtype=bool)
-        own[slots_by_user[b] + off] = True
-        rel = startv - t[b]
-        k0 = np.floor(rel).astype(np.int64)
-        frac = rel != k0
-        lost = own[k0 + off] | (frac & own[k0 + 1 + off])
+    # half duplex: lost when the arrival overlaps one of the receiver's own
+    # transmit slots, i.e. an own slot j with j - 1 < rel < j + 1.  Row r of
+    # `pattern` marks one period of label r's ones; its extra last column
+    # repeats column 0, so the slot after k0 is always at index + 1.
+    index = {lab: i for i, lab in enumerate(sc.sequence_set.labels)}
+    pattern = np.zeros((len(index), n + 1), dtype=bool)
+    for i, member in enumerate(sc.sequence_set.sequences):
+        pattern[i, list(member.ones)] = True
+    pattern[:, n] = pattern[:, 0]
+    pattern = pattern.ravel()
+    label_of = np.array([index[lab] for lab in sc.resolved_labels], dtype=np.int64)
+    shift_of = np.array([u.shift for u in users], dtype=np.int64)
 
-        out_tx.append(txv)
-        out_rx.append(np.full(txv.size, b, dtype=np.int32))
-        out_slot.append(slotv)
-        out_s.append(startv)
-        out_cf.append(~coll & ~lost)
+    rel = start - t[rx]
+    k0 = np.floor(rel).astype(np.int64)
+    at = k0 - shift_of[rx]
+    at %= n
+    at += label_of[rx] * (n + 1)
+    lost = pattern[at] & (k0 >= 0) & (k0 < total)
+    lost |= pattern[at + 1] & (rel != k0) & (k0 >= -1) & (k0 < total - 1)
 
-    if out_tx:
-        txc = np.concatenate(out_tx)
-        rxc = np.concatenate(out_rx)
-        slotc = np.concatenate(out_slot)
-        sc_arr = np.concatenate(out_s)
-        cfc = np.concatenate(out_cf)
-    else:
-        txc = np.zeros(0, dtype=np.int32)
-        rxc = np.zeros(0, dtype=np.int32)
-        slotc = np.zeros(0, dtype=np.int64)
-        sc_arr = np.zeros(0, dtype=np.float64)
-        cfc = np.zeros(0, dtype=bool)
-    return ReceptionLog(tuple(u.id for u in users), t, tm.tau_s, txc, rxc,
-                        slotc, sc_arr, sc_arr + 1.0, cfc, seed)
+    return ReceptionLog(tuple(u.id for u in users), t, tm.tau_s, tx, rx,
+                        slot, start, end, ~coll & ~lost, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +513,6 @@ class BlockFreeReport:
             fh.write("\n")
 
 
-def _neighbor_pairs(sc: Scenario):
-    users = sc.users
-    k = len(users)
-    for b in range(k):
-        for a in range(k):
-            if a == b:
-                continue
-            if math.hypot(users[a].x - users[b].x,
-                          users[a].y - users[b].y) < sc.R_m:
-                yield b, a
-
-
 def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
     """Every neighbor must be heard contention-free in every normal frame.
 
@@ -466,32 +524,37 @@ def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
     if F < 3:
         raise ValueError("block-free audit needs F >= 3 (no normal frame otherwise)")
     normal = range(1, F - 1)
+    nf = len(normal)
+    k = len(sc.users)
     cf = log.contention_free
     frame_of = np.floor((log.arrive_slots - log.offsets_slots[log.rx]) / L).astype(np.int64)
 
-    got: dict[tuple[int, int, int], int] = {}
-    for i in np.nonzero(cf)[0]:
-        key = (int(log.rx[i]), int(log.tx[i]), int(frame_of[i]))
-        got[key] = got.get(key, 0) + 1
+    # contention-free receptions per (rx, tx, normal frame): `want` lists
+    # the keys of the hearing pairs times the normal frames, ascending
+    rx, tx = sc.hearing
+    want = (((rx * k + tx) * nf)[:, None] + np.arange(nf)).ravel()
+    keep = cf & (frame_of >= 1) & (frame_of <= F - 2)
+    key = ((log.rx[keep].astype(np.int64) * k + log.tx[keep]) * nf
+           + frame_of[keep] - 1)
+    at = np.searchsorted(want, key)
+    hit = at < want.size
+    hit[hit] = want[at[hit]] == key[hit]
+    count = np.bincount(at[hit], minlength=want.size)
 
+    ids = log.user_ids
     violations = []
     counts = []
-    pairs = 0
-    min_count = None
-    for b, a in _neighbor_pairs(sc):
-        pairs += 1
-        for f in normal:
-            c = got.get((b, a, f), 0)
-            counts.append({"receiver": log.user_ids[b], "transmitter": log.user_ids[a],
-                           "frame": f, "count": c})
-            if min_count is None or c < min_count:
-                min_count = c
-            if c == 0:
-                violations.append({"receiver": log.user_ids[b],
-                                   "transmitter": log.user_ids[a], "frame": f})
+    for b, a, f, c in zip(np.repeat(rx, nf).tolist(), np.repeat(tx, nf).tolist(),
+                          list(normal) * rx.size, count.tolist()):
+        counts.append({"receiver": ids[b], "transmitter": ids[a],
+                       "frame": f, "count": c})
+        if c == 0:
+            violations.append({"receiver": ids[b], "transmitter": ids[a],
+                               "frame": f})
     verdict = "holds" if not violations else "violated"
-    stats = {"users": len(sc.users), "neighbor_pairs": pairs,
-             "normal_frames": list(normal), "min_count": min_count,
+    stats = {"users": len(sc.users), "neighbor_pairs": int(rx.size),
+             "normal_frames": list(normal),
+             "min_count": int(count.min()) if count.size else None,
              "receptions": len(log), "contention_free": int(cf.sum())}
     return BlockFreeReport(verdict, violations, counts, stats)
 
@@ -526,10 +589,11 @@ def adversarial_offset_search(sc: Scenario, step_slots: float = 0.5,
     if combos > combo_cap:
         raise ValueError(f"{combos} offset combinations exceed cap {combo_cap}")
     for combo in iproduct(vals, repeat=len(sc.users)):
-        users = [User(u.id, u.x, u.y, u.label, u.shift, float(o) * tm.tau_s)
-                 for u, o in zip(sc.users, combo)]
-        trial = Scenario(tm, sc.R_m, sc.h_m, sc.M, users, sc.sequence_set,
-                         sc.plan, sc.slot_synchronized, sc.v_mps)
+        # only the offsets change, so the validated geometry carries over
+        trial = copy.copy(sc)
+        trial.users = [replace(u, offset_s=float(o) * tm.tau_s)
+                       for u, o in zip(sc.users, combo)]
+        trial._check_offsets()
         log = run_superframe(trial, seed=0)
         report = check_block_free(log, trial)
         if not report.holds:

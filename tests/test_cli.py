@@ -250,6 +250,20 @@ class TestCompare:
     def test_missing_flags(self):
         assert run("compare", "--m", "3") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "crt0", "--p", "3", "--q", "5"],
+        ["verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}'],
+        ["alloc", "--r", "20", "--h", "1"],
+        ["params", "prop2", "--m", "3", "--g", "7"],
+        ["sim", "--config", "scenario.json"],
+    ])
+    def test_format_is_compare_only(self, argv, capsys):
+        # the other subcommands only write JSON, so the flag is a usage error
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--format", "csv")
+        assert err.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
 
 class TestEntryPoints:
     @pytest.mark.skipif(shutil.which("protoseq") is None,

@@ -1,13 +1,17 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protoseq.crt import crt0_set
-from protoseq.hexalloc import HexCell, ReusePlan, cell_center
-from protoseq.netsim import (ReceptionLog, Scenario, TimingModel, User,
-                             adversarial_offset_search, baseline_compare,
+from protoseq.hexalloc import HexCell, ReusePlan, cell_center, quantize
+from protoseq.netsim import (SPEED_OF_LIGHT, ReceptionLog, Scenario,
+                             TimingModel, User, adversarial_offset_search,
+                             baseline_compare,
                              check_block_free, delta_p, frame_offset_audit,
                              run_superframe, sequences_from_config)
 from protoseq.rscpc import pad_set, tdma_set
@@ -144,6 +148,18 @@ class TestScenarioValidation:
                  User("c", 0.0, 1.2, "t2")]
         with pytest.raises(ValueError):
             Scenario(timing(3), R, 1.0, 2, users, s, slot_synchronized=True)
+
+
+    def test_understated_propagation_bound(self):
+        # 450 m at tau = 0.1 us is a 15-slot delay; with delta_p = 0 the
+        # arrivals leave the frame window, so the scenario must be refused
+        s = crt0_set(3, 5)
+        users = [User("a", 0.0, 0.0, "g0"), User("b", 450.0, 0.0, "g2")]
+        tm = TimingModel(1e-7, 15, 3, 0, 0)
+        with pytest.raises(ValueError, match="'a' and 'b' are 450.000 m apart"):
+            Scenario(tm, 500.0, 1.0, 2, users, s)
+        sc = Scenario(tm, 500.0, 1.0, 2, users, s, slot_synchronized=True)
+        assert len(run_superframe(sc, seed=0)) == 2 * s.get("g0").weight * 3
 
 
 class TestRunSuperframe:
@@ -478,3 +494,247 @@ class TestSequencesFromConfig:
     def test_unknown_construction(self):
         with pytest.raises(ValueError):
             sequences_from_config({"construction": "mystery"})
+
+
+# ---------------------------------------------------------------------------
+# Slow oracles: the direct loops the vectorised geometry, simulator and
+# audit replaced, plus a brute-force pairwise overlap test.  The fast paths
+# must agree with them exactly on small random scenarios.
+
+def densest_disk_oracle(users, R):
+    pts = [(u.x, u.y) for u in users]
+    k = len(pts)
+    tol = 1e-9 * max(1.0, R)
+
+    def count(cx, cy):
+        return sum(1 for (x, y) in pts if math.hypot(x - cx, y - cy) <= R + tol)
+
+    worst = 0
+    for x, y in pts:
+        worst = max(worst, count(x, y))
+    for i in range(k):
+        for j in range(i + 1, k):
+            xi, yi = pts[i]
+            xj, yj = pts[j]
+            d = math.hypot(xi - xj, yi - yj)
+            if d > 2 * R + tol or d == 0:
+                continue
+            mx, my = (xi + xj) / 2, (yi + yj) / 2
+            t = math.sqrt(max(R * R - (d / 2) ** 2, 0.0)) / d
+            ux, uy = -(yj - yi), (xj - xi)
+            for s in (t, -t):
+                worst = max(worst, count(mx + s * ux, my + s * uy))
+    return worst
+
+
+def allocation_oracle(users, plan, h, R):
+    """Message for the first plan-labelled pair closer than 2R, or None."""
+    labels = [u.label if u.label is not None else plan.allocate(quantize(u.x, u.y, h))
+              for u in users]
+    for i in range(len(users)):
+        for j in range(i + 1, len(users)):
+            if users[i].label is not None or users[j].label is not None:
+                continue
+            if labels[i] != labels[j]:
+                continue
+            d = math.hypot(users[i].x - users[j].x, users[i].y - users[j].y)
+            if d < 2 * R * (1 - 1e-12):
+                return (f"users {users[i].id!r} and {users[j].id!r} share "
+                        f"label {labels[i]!r} at distance {d:.3f} m "
+                        f"< 2R = {2 * R:.3f} m")
+    return None
+
+
+def neighbor_pairs_oracle(sc):
+    users = sc.users
+    return [(b, a) for b in range(len(users)) for a in range(len(users))
+            if a != b and math.hypot(users[a].x - users[b].x,
+                                     users[a].y - users[b].y) < sc.R_m]
+
+
+def own_slots_oracle(sc, u):
+    n = sc.sequence_set.period
+    ones = sc.sequence_set.get(sc.resolved_labels[u]).ones
+    return sorted(r * n + (o + sc.users[u].shift) % n
+                  for r in range(sc.timing.frames) for o in ones)
+
+
+def superframe_rows_oracle(sc, offsets):
+    """(tx, rx, slot, arrival) rows: receivers ascending, each sorted by
+    arrival with ties in (transmitter, slot) order."""
+    rows = []
+    for b, a_list in itertools.groupby(neighbor_pairs_oracle(sc), key=lambda p: p[0]):
+        mine = []
+        for _, a in a_list:
+            ua, ub = sc.users[a], sc.users[b]
+            delay = 0.0 if sc.slot_synchronized else (
+                math.hypot(ua.x - ub.x, ua.y - ub.y)
+                / (SPEED_OF_LIGHT * sc.timing.tau_s))
+            mine += [(a, b, s, float(offsets[a]) + s + delay)
+                     for s in own_slots_oracle(sc, a)]
+        rows += sorted(mine, key=lambda r: r[3])
+    return rows
+
+
+def contention_free_oracle(log, sc):
+    """A reception is contention-free when no other arrival at its receiver
+    overlaps it and it overlaps none of the receiver's own transmit slots."""
+    own = [own_slots_oracle(sc, u) for u in range(len(sc.users))]
+    out = []
+    for i in range(len(log)):
+        b = log.rx[i]
+        s, e = log.arrive_slots[i], log.end_slots[i]
+        clash = any(log.rx[j] == b and s < log.end_slots[j] and log.arrive_slots[j] < e
+                    for j in range(len(log)) if j != i)
+        rel = s - log.offsets_slots[b]
+        busy = any(j - 1 < rel < j + 1 for j in own[b])
+        out.append(not clash and not busy)
+    return out
+
+
+def block_free_oracle(log, sc):
+    """(counts, violations, min_count) from a dict of per-key counts."""
+    F, L = sc.timing.frames, sc.timing.frame_slots
+    frame_of = np.floor((log.arrive_slots - log.offsets_slots[log.rx]) / L).astype(np.int64)
+    got = {}
+    for i in np.nonzero(log.contention_free)[0]:
+        key = (int(log.rx[i]), int(log.tx[i]), int(frame_of[i]))
+        got[key] = got.get(key, 0) + 1
+    counts, violations = [], []
+    for b, a in neighbor_pairs_oracle(sc):
+        for f in range(1, F - 1):
+            c = got.get((b, a, f), 0)
+            ids = {"receiver": log.user_ids[b], "transmitter": log.user_ids[a], "frame": f}
+            counts.append({**ids, "count": c})
+            if c == 0:
+                violations.append(ids)
+    return counts, violations, min((c["count"] for c in counts), default=None)
+
+
+R_SMALL = 10.0
+# integer coordinates on a 25 m square: pairs exactly R (10, 0), (6, 8) and
+# 2R (20, 0), (12, 16) apart, and cocircular triples, come up often
+grid_points = st.tuples(st.integers(0, 24), st.integers(0, 24))
+
+
+@st.composite
+def small_scenarios(draw):
+    s = draw(st.sampled_from([crt0_set(3, 5), tdma_set(5, 0)]))
+    pts = draw(st.lists(grid_points, min_size=1, max_size=6))
+    dc = draw(st.integers(0, 2))
+    tau = 2e-8                                  # a 10 m hop is 1.67 slots
+    sync = draw(st.booleans())
+    dp = 0 if sync else delta_p(R_SMALL, tau)
+    users = []
+    for i, (x, y) in enumerate(pts):
+        offset = draw(st.one_of(
+            st.none(), st.integers(0, 2 * dc).map(lambda v: v * 0.5 * tau),
+            st.floats(0.0, 1.0).map(lambda v: v * dc * tau)))
+        users.append(User(f"u{i}", x, y, draw(st.sampled_from(s.labels)),
+                          draw(st.integers(0, s.period - 1)), offset))
+    tm = TimingModel(tau, s.period, draw(st.integers(3, 5)), dc, dp)
+    return Scenario(tm, R_SMALL, 1.0, len(users), users, s,
+                    slot_synchronized=sync), draw(st.integers(0, 2 ** 16))
+
+
+# same-label cells of the 7-cell plan below, such as (0, 0) and (2, 1), sit
+# sqrt(21) m apart; half of it puts them exactly 2R apart
+SAME_LABEL_M = math.hypot(*np.subtract(cell_center(HexCell(2, 1), 1.0),
+                                       cell_center(HexCell(0, 0), 1.0)))
+
+
+class TestAgainstSlowOracles:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(grid_points, min_size=1, max_size=9),
+           st.sampled_from([R_SMALL, 5.0, 7.5]))
+    @example([(0, 0), (20, 0)], R_SMALL)         # only the 2R-pair disk holds both
+    @example([(0, 0), (12, 16), (6, 8)], R_SMALL)
+    def test_densest_disk_and_neighbor_pairs(self, pts, R):
+        users = [User(f"u{i}", x, y, "t0") for i, (x, y) in enumerate(pts)]
+        worst = densest_disk_oracle(users, R)
+        sc = Scenario(timing(2), R, 1.0, worst, users, tdma_set(2, 0),
+                      slot_synchronized=True)
+        assert sc.max_disk_users == worst
+        assert list(zip(*(a.tolist() for a in sc.hearing))) == neighbor_pairs_oracle(sc)
+        if worst > 1:
+            with pytest.raises(ValueError, match=f"^{worst} users fit in one hearing disk"):
+                Scenario(timing(2), R, 1.0, worst - 1, users, tdma_set(2, 0),
+                         slot_synchronized=True)
+
+    def test_densest_disk_over_many_chunks(self):
+        # 60 users in a 3R square: about 1e5 (centre, user) tests, so the
+        # count runs in many chunks, and a two-point disk holds 2 users
+        # more than any user-centred one
+        rng = np.random.default_rng(5)
+        users = [User(f"u{i}", float(x), float(y), "t0")
+                 for i, (x, y) in enumerate(rng.uniform(0, 30, size=(60, 2)))]
+        worst = densest_disk_oracle(users, R_SMALL)
+        sc = Scenario(timing(2), R_SMALL, 1.0, worst, users, tdma_set(2, 0),
+                      slot_synchronized=True)
+        assert sc.max_disk_users == worst
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=2, max_size=8, unique=True),
+           st.lists(st.booleans(), min_size=8, max_size=8),
+           st.sampled_from([1.0, 1.5, SAME_LABEL_M / 2, 3.0]))
+    @example([(0, 0), (2, 1)], [False] * 8, SAME_LABEL_M / 2)
+    def test_allocation_constraint(self, cells, explicit, R):
+        s = tdma_set(7, 0)
+        plan = ReusePlan.from_geometry(1.0, 1.94, labels=list(s.labels))
+        users = []
+        for i, (m, n) in enumerate(cells):
+            x, y = cell_center(HexCell(m, n), 1.0)
+            users.append(User(f"u{i}", x, y, "t0" if explicit[i] else None))
+        expected = allocation_oracle(users, plan, 1.0, R)
+        if expected is None:
+            Scenario(timing(7), R, 1.0, len(users), users, s, plan=plan,
+                     slot_synchronized=True)
+        else:
+            with pytest.raises(ValueError) as err:
+                Scenario(timing(7), R, 1.0, len(users), users, s, plan=plan,
+                         slot_synchronized=True)
+            assert str(err.value) == expected
+
+    def test_block_free_ignores_pairs_out_of_range(self):
+        # a log row between users out of hearing range belongs to no
+        # audited pair and must not shift any count
+        s = tdma_set(3, 0)
+        users = [User("a", 0, 0, "t0", 0, 0.0), User("b", 10, 0, "t1", 0, 0.0),
+                 User("c", 500, 0, "t2", 0, 0.0)]
+        sc = Scenario(timing(3), 100.0, 1.0, 3, users, s, slot_synchronized=True)
+        log = run_superframe(sc)
+        extra = ReceptionLog(log.user_ids, log.offsets_slots, log.tau_s,
+                             np.append(log.tx, np.int32(2)),
+                             np.append(log.rx, np.int32(0)),
+                             np.append(log.slot, 5), np.append(log.arrive_slots, 5.0),
+                             np.append(log.end_slots, 6.0),
+                             np.append(log.contention_free, True))
+        rep = check_block_free(extra, sc)
+        assert rep.counts == block_free_oracle(extra, sc)[0]
+        assert rep.counts == check_block_free(log, sc).counts
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_scenarios())
+    # receivers whose clocks run 1.5 and 2 slots late hear slot 0 of "a"
+    # before their own slot 0: no transmission of theirs can overlap it
+    @example((Scenario(TimingModel(2e-8, 5, 3, 2, 0), R_SMALL, 1.0, 3,
+                       [User("a", 0, 0, "t0", 0, 0.0),
+                        User("b", 5, 0, "t3", 0, 4e-8),
+                        User("c", 0, 5, "t4", 0, 3e-8)],
+                       tdma_set(5, 0), slot_synchronized=True), 0))
+    def test_superframe_log_and_block_free_counts(self, case):
+        sc, seed = case
+        log = run_superframe(sc, seed=seed)
+        rows = superframe_rows_oracle(sc, log.offsets_slots)
+        assert log.tx.tolist() == [r[0] for r in rows]
+        assert log.rx.tolist() == [r[1] for r in rows]
+        assert log.slot.tolist() == [r[2] for r in rows]
+        assert log.arrive_slots.tolist() == [r[3] for r in rows]
+        assert log.contention_free.tolist() == contention_free_oracle(log, sc)
+        rep = check_block_free(log, sc)
+        counts, violations, min_count = block_free_oracle(log, sc)
+        assert rep.counts == counts
+        assert rep.violations == violations
+        assert rep.stats["min_count"] == min_count
+        assert rep.stats["neighbor_pairs"] == len(neighbor_pairs_oracle(sc))
