@@ -23,7 +23,7 @@ from .rscpc import (ParamSearchError, RsCpcParams, SelectedParams,
 from .sequences import (BinarySequence, CrtIndexPair, SequenceSet,
                         crt_map, crt_unmap, cyclic_min_distance, cyclic_order,
                         cyclic_shift, hamming_xcorr, min_separation,
-                        xcorr_profile)
+                        pairwise_xcorr_peaks, xcorr_profile)
 from .verify import (StackedMatrix, StateCapExceeded, VerifyReport,
                      conflict_free_positions, is_ui, max_conflict_free_gap,
                      min_conflict_free_count, separation_audit, window_audit,
@@ -33,7 +33,8 @@ __all__ = [
     "__version__",
     # sequences
     "BinarySequence", "SequenceSet", "CrtIndexPair", "cyclic_shift",
-    "hamming_xcorr", "xcorr_profile", "cyclic_min_distance", "cyclic_order",
+    "hamming_xcorr", "xcorr_profile", "pairwise_xcorr_peaks",
+    "cyclic_min_distance", "cyclic_order",
     "min_separation", "crt_map", "crt_unmap",
     # constructions
     "crt_set", "crt0_set", "all_ones", "product", "ExpandedSetSpec",

@@ -9,7 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .sequences import BinarySequence, SequenceSet, crt_unmap, xcorr_profile
+import numpy as np
+
+from .sequences import (BinarySequence, SequenceSet, _is_prime, _require_coprime,
+                        crt_unmap, pairwise_xcorr_peaks)
 
 __all__ = [
     "crt_set",
@@ -29,8 +32,7 @@ def _crt_member(p: int, q: int, g: int) -> BinarySequence:
 
 
 def _check_crt_params(p: int, q: int) -> None:
-    if p < 1 or q < 1 or math.gcd(p, q) != 1:
-        raise ValueError(f"p and q must be coprime positive integers, got ({p}, {q})")
+    _require_coprime(p, q)
     if q < 2 * p - 1:
         raise ValueError(f"q must be at least 2p-1 = {2 * p - 1}, got {q}")
 
@@ -130,15 +132,6 @@ class ExpandedSetSpec:
             self.k = self.base_set.meta.get("k")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
     """Blow up a base family so reuse groups stay conflict-free.
 
@@ -175,16 +168,14 @@ def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
     for lab in spec.split_labels:
         base.get(lab)  # raises KeyError if absent
     if spec.check_xcorr:
-        bound = k - 1
-        seqs = base.sequences
-        for i in range(len(seqs)):
-            for j in range(i + 1, len(seqs)):
-                worst = int(xcorr_profile(seqs[i], seqs[j]).max())
-                if worst > bound:
-                    raise ValueError(
-                        f"base pair ({base.labels[i]}, {base.labels[j]}) has "
-                        f"cross-correlation {worst} > k-1 = {bound}"
-                    )
+        first, second, peak, _ = pairwise_xcorr_peaks(base.sequences)
+        over = np.flatnonzero(peak > k - 1)
+        if over.size:
+            pair = over[0]
+            raise ValueError(
+                f"base pair ({base.labels[first[pair]]}, {base.labels[second[pair]]}) "
+                f"has cross-correlation {peak[pair]} > k-1 = {k - 1}"
+            )
 
     spacing = crt0_set(p, 2 * p - 1)
     ones_seq = all_ones(spread)

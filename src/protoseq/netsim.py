@@ -584,7 +584,9 @@ def adversarial_offset_search(sc: Scenario, step_slots: float = 0.5,
     from itertools import product as iproduct
 
     tm = sc.timing
-    vals = np.arange(0.0, tm.delta_c_slots + step_slots / 2, step_slots)
+    # the last point is clamped: a step that does not divide delta_c overshoots it
+    vals = np.minimum(np.arange(0.0, tm.delta_c_slots + step_slots / 2, step_slots),
+                      tm.delta_c_slots)
     combos = len(vals) ** len(sc.users)
     if combos > combo_cap:
         raise ValueError(f"{combos} offset combinations exceed cap {combo_cap}")

@@ -12,19 +12,15 @@ family, and the two parameter searches used for sizing comparisons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-import numpy as np
-
-from .sequences import BinarySequence, SequenceSet, crt_unmap
+from .sequences import BinarySequence, SequenceSet, _is_prime, crt_unmap
 
 __all__ = [
     "RsCpcParams",
     "SelectedParams",
     "ParamSearchError",
-    "vp_represent",
     "element_of_order",
     "rs_cpc",
     "pad_silent",
@@ -38,12 +34,6 @@ __all__ = [
 
 class ParamSearchError(ValueError):
     """No admissible parameters inside the search caps."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(math.isqrt(n)) + 1))
 
 
 def element_of_order(n: int, p: int) -> int:
@@ -94,15 +84,6 @@ class RsCpcParams:
 
     def resolved_alpha(self) -> int:
         return self.alpha if self.alpha is not None else element_of_order(self.n, self.p)
-
-
-def vp_represent(j: int, p: int) -> np.ndarray:
-    """Length-p unit vector with its single 1 at 0-based index j."""
-    if not 0 <= j < p:
-        raise ValueError(f"index must lie in [0, p), got {j}")
-    e = np.zeros(p, dtype=np.uint8)
-    e[j] = 1
-    return e
 
 
 def rs_cpc(params: RsCpcParams) -> SequenceSet:

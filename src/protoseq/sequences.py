@@ -7,6 +7,7 @@ A sequence of period n is stored by its characteristic set: the sorted
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -20,6 +21,7 @@ __all__ = [
     "cyclic_shift",
     "hamming_xcorr",
     "xcorr_profile",
+    "pairwise_xcorr_peaks",
     "cyclic_min_distance",
     "cyclic_order",
     "min_separation",
@@ -123,6 +125,29 @@ def xcorr_profile(x: BinarySequence, y: BinarySequence) -> np.ndarray:
     return np.bincount(diffs.ravel(), minlength=n)
 
 
+def pairwise_xcorr_peaks(seqs: Sequence[BinarySequence]) -> tuple[np.ndarray, ...]:
+    """Peak cross-correlation of every pair i < j, pairs in lexicographic order.
+
+    Returns arrays (i, j, peak, shift): peak is the maximum over t of
+    xcorr_profile(seqs[i], seqs[j])[t] and shift the first t reaching it.
+    Each member's profiles against all later members come from one bincount.
+    """
+    if len({x.period for x in seqs}) > 1:
+        raise ValueError("sequences must share a period")
+    k = len(seqs)
+    ones = [np.asarray(x.ones, dtype=np.int64) for x in seqs]
+    parts = [np.zeros((4, 0), dtype=np.int64)]
+    for i in range(k - 1):
+        n = seqs[i].period
+        later = np.concatenate(ones[i + 1:])
+        member = np.repeat(np.arange(k - i - 1), [o.size for o in ones[i + 1:]])
+        diffs = (ones[i][:, None] - later[None, :]) % n + n * member
+        prof = np.bincount(diffs.ravel(), minlength=n * (k - i - 1)).reshape(-1, n)
+        parts.append(np.stack([np.full(k - i - 1, i), np.arange(i + 1, k),
+                               prof.max(axis=1), prof.argmax(axis=1)]))
+    return tuple(np.concatenate(parts, axis=1))
+
+
 def cyclic_min_distance(seqs: Sequence[BinarySequence]) -> int:
     """Minimum Hamming distance between distinct members over all cyclic shifts.
 
@@ -131,14 +156,9 @@ def cyclic_min_distance(seqs: Sequence[BinarySequence]) -> int:
     """
     if len(seqs) < 2:
         raise ValueError("need at least two sequences")
-    best = None
-    for i in range(len(seqs)):
-        for j in range(i + 1, len(seqs)):
-            prof = xcorr_profile(seqs[i], seqs[j])
-            d = seqs[i].weight + seqs[j].weight - 2 * int(prof.max())
-            if best is None or d < best:
-                best = d
-    return int(best)
+    i, j, peak, _ = pairwise_xcorr_peaks(seqs)
+    weight = np.asarray([x.weight for x in seqs])
+    return int((weight[i] + weight[j] - 2 * peak).min())
 
 
 def cyclic_order(x: BinarySequence) -> int:
@@ -179,10 +199,14 @@ def crt_unmap(pair: tuple[int, int], p: int, q: int) -> int:
 
 
 def _require_coprime(p: int, q: int) -> None:
-    import math
-
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise ValueError(f"p and q must be coprime positive integers, got ({p}, {q})")
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass

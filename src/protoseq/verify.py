@@ -11,13 +11,13 @@ on failure.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 
-from .sequences import BinarySequence, SequenceSet, xcorr_profile
+from .sequences import SequenceSet, min_separation, pairwise_xcorr_peaks
 
 __all__ = [
     "StackedMatrix",
@@ -103,11 +103,7 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# shift-space enumeration helpers
-
-def _char_arrays(s: SequenceSet) -> list[np.ndarray]:
-    return [np.asarray(seq.ones, dtype=np.int64) for seq in s.sequences]
-
+# the shift-space engine: one enumerator, one rotation table, one stack
 
 def _check_cap(n: int, k: int, cap: int) -> int:
     states = n ** (k - 1)
@@ -119,248 +115,30 @@ def _check_cap(n: int, k: int, cap: int) -> int:
     return states
 
 
-def _cover_tables(chars: list[np.ndarray], n: int) -> list[list[np.ndarray | None]]:
-    # table[i][j][r] = bitmask over row i's ones covered by row j shifted by r
-    k = len(chars)
-    sets = [set(int(x) for x in c) for c in chars]
-    out: list[list[np.ndarray | None]] = [[None] * k for _ in range(k)]
-    for i in range(k):
-        ci = [int(x) for x in chars[i]]
-        for j in range(k):
-            if i == j:
-                continue
-            t = np.zeros(n, dtype=np.int64)
-            for bit, a in enumerate(ci):
-                hits = [(a - b) % n for b in sets[j]]
-                t[hits] |= 1 << bit
-            out[i][j] = t
-    return out
+def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
+                        seed: int | None = None, cap: int = DEFAULT_STATE_CAP,
+                        lo: int = 0, hi: int | None = None):
+    """Yield (start_index, shifts) blocks of at most _BATCH assignments.
 
-
-def _scan_ui_chunk(args: tuple) -> tuple[int, ...] | None:
-    """Exhaustive scan of a slice of the shift space; earliest violation or None.
-
-    Shift layout: (0, s2, …, sk); s2 restricted to [lo, hi).  The last two
-    free axes are evaluated as a vectorized grid, the rest looped.
+    Exhaustive mode counts in lexicographic order with mixed-radix digits,
+    the first shift pinned to 0 and the second in [lo, hi).  Its blocks share
+    one buffer (fresh ones made glibc trim and re-fault the heap per block),
+    so each is valid until the next is drawn.  Random mode draws seeded ones.
     """
-    ones, n, lo, hi = args
-    chars = [np.asarray(c, dtype=np.int64) for c in ones]
-    k = len(chars)
-    if any(c.size > 63 for c in chars):
-        return _scan_ui_chunk_dense(chars, n, lo, hi)
-    cov = _cover_tables(chars, n)
-    full = [(1 << c.size) - 1 for c in chars]
-    ar = np.arange(n)
-
-    if k == 2:
-        mask0 = cov[0][1][lo:hi]
-        mask1 = cov[1][0][(-ar[lo:hi]) % n]
-        fail = (mask0 == full[0]) | (mask1 == full[1])
-        hit = np.nonzero(fail)[0]
-        return (0, int(hit[0]) + lo) if hit.size else None
-
-    # k >= 3: outer axes s2..s_{k-2}, grid over (s_{k-1}, s_k).  For k == 3
-    # the chunk slice [lo, hi) lands on the grid's a axis, otherwise on s2.
-    a_i, b_i = k - 2, k - 1  # 0-based row indices of the grid axes
-    avals = ar[lo:hi] if k == 3 else ar
-    REL_ab = (ar[None, :] - avals[:, None]) % n     # (s_b - s_a)
-    grid_ab = cov[a_i][b_i][REL_ab]
-    grid_ba = cov[b_i][a_i][(avals[:, None] - ar[None, :]) % n]
-    outer_rows = list(range(1, k - 2))              # rows with looped shifts
-    outer_ranges = [range(lo, hi) if r == 1 else range(n) for r in outer_rows]
-    if not outer_rows:
-        outer_ranges = [range(0, 1)]                # single dummy iteration
-
-    for outer in iproduct(*outer_ranges):
-        s_of = {0: 0}
-        for r, v in zip(outer_rows, outer):
-            s_of[r] = v
-        masks = []
-        for i in range(k):
-            acc: np.ndarray | int = 0
-            for j in range(k):
-                if i == j:
-                    continue
-                if i in s_of and j in s_of:
-                    acc = acc | int(cov[i][j][(s_of[j] - s_of[i]) % n])
-                elif i in s_of and j == a_i:
-                    acc = acc | cov[i][j][(avals - s_of[i]) % n][:, None]
-                elif i in s_of and j == b_i:
-                    acc = acc | cov[i][j][(ar - s_of[i]) % n][None, :]
-                elif i == a_i and j in s_of:
-                    acc = acc | cov[i][j][(s_of[j] - avals) % n][:, None]
-                elif i == b_i and j in s_of:
-                    acc = acc | cov[i][j][(s_of[j] - ar) % n][None, :]
-                elif i == a_i and j == b_i:
-                    acc = acc | grid_ab
-                else:  # i == b_i and j == a_i
-                    acc = acc | grid_ba
-            masks.append(acc)
-        fail = np.zeros((avals.size, n), dtype=bool)
-        for i in range(k):
-            fail |= masks[i] == full[i]
-        if fail.any():
-            flat = int(np.flatnonzero(fail)[0])
-            ai, sb = divmod(flat, n)
-            shifts = [0] * k
-            for r, v in zip(outer_rows, outer):
-                shifts[r] = v
-            shifts[a_i], shifts[b_i] = int(avals[ai]), sb
-            return tuple(shifts)
-    return None
-
-
-def _scan_ui_chunk_dense(chars: list[np.ndarray], n: int, lo: int, hi: int):
-    # fallback for rows too heavy for 63-bit masks: per-assignment column sums
-    k = len(chars)
-    ranges = [range(lo, hi)] + [range(n)] * (k - 2)
-    for rest in iproduct(*ranges):
-        shifts = (0, *rest)
-        col = np.zeros(n, dtype=np.int32)
-        pos = [(c + t) % n for c, t in zip(chars, shifts)]
-        for q in pos:
-            col[q] += 1
-        if any(int((col[q] == 1).sum()) == 0 for q in pos):
-            return shifts
-    return None
-
-
-def _chunk_ranges(n: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, n))
-    step = -(-n // jobs)
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
-          seed: int | None = None, jobs: int = 1,
-          state_cap: int = DEFAULT_STATE_CAP) -> VerifyReport:
-    """Check that every member keeps a conflict-free 1 under any shifts.
-
-    Equivalent to the stacked matrix always containing a k-by-k permutation
-    submatrix.  Exhaustive mode pins the first shift to 0 and enumerates the
-    remaining period^(k-1) assignments (capped); random mode samples full
-    assignments from a seeded generator.  Reports the lexicographically
-    earliest violating assignment (exhaustive) or the first drawn (random).
-    """
-    n = s.period
-    k = len(s)
-    chars = _char_arrays(s)
-    if k == 1:
-        verdict = "holds" if s.sequences[0].weight >= 1 else "violated"
-        ce = None if verdict == "holds" else {"shifts": [0]}
-        return VerifyReport("ui", "exhaustive", 1, None, verdict, ce,
-                            {"members": 1, "period": n})
-
     if mode == "exhaustive":
-        states = _check_cap(n, k, state_cap)
-        ones = [tuple(int(x) for x in c) for c in chars]
-        violation = None
-        if jobs <= 1:
-            violation = _scan_ui_chunk((ones, n, 0, n))
-        else:
-            chunks = _chunk_ranges(n, jobs)
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                for res in pool.map(_scan_ui_chunk,
-                                    [(ones, n, lo, hi) for lo, hi in chunks]):
-                    if res is not None:
-                        violation = res
-                        break  # chunks are in ascending s2 order
-        verdict = "holds" if violation is None else "violated"
-        ce = None if violation is None else {"shifts": [int(t) for t in violation]}
-        return VerifyReport("ui", "exhaustive", states, None, verdict, ce,
-                            {"members": k, "period": n, "pinned_first_shift": True})
-
-    if mode != "random":
-        raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
-    rng = np.random.default_rng(seed)
-    done = 0
-    min_cf = None
-    while done < samples:
-        b = min(_BATCH, samples - done)
-        shifts = rng.integers(0, n, size=(b, k))
-        counts = _cf_counts_batch(chars, n, shifts, range(k))
-        worst = counts.min(axis=1)
-        batch_min = int(worst.min())
-        if min_cf is None or batch_min < min_cf:
-            min_cf = batch_min
-        bad = np.nonzero(worst == 0)[0]
-        if bad.size:
-            first = int(bad[0])
-            ce = {"shifts": [int(t) for t in shifts[first]]}
-            return VerifyReport("ui", "random", done + first + 1, seed, "violated",
-                                ce, {"members": k, "period": n})
-        done += b
-    return VerifyReport("ui", "random", samples, seed, "holds", None,
-                        {"members": k, "period": n,
-                         "min_conflict_free_count": min_cf})
-
-
-def _cf_counts_batch(chars: list[np.ndarray], n: int, shifts: np.ndarray,
-                     rows: range | list[int]) -> np.ndarray:
-    """Conflict-free-1 counts per (assignment, row) for a batch of shifts."""
-    b = shifts.shape[0]
-    col = np.zeros(b * n, dtype=np.int16)
-    base = (np.arange(b) * n)[:, None]
-    pos_cache = []
-    for i, c in enumerate(chars):
-        pos = (c[None, :] + shifts[:, i:i + 1]) % n
-        pos_cache.append(pos)
-        np.add.at(col, (base + pos).ravel(), 1)
-    col = col.reshape(b, n)
-    out = np.empty((b, len(rows)), dtype=np.int32)
-    for oi, i in enumerate(rows):
-        vals = np.take_along_axis(col, pos_cache[i], axis=1)
-        out[:, oi] = (vals == 1).sum(axis=1)
-    return out
-
-
-def _cf_gaps_batch(chars: list[np.ndarray], n: int, shifts: np.ndarray,
-                   rows: list[int]) -> np.ndarray:
-    """Max circular gap between conflict-free 1s per (assignment, row).
-
-    Rows with no conflict-free 1 get gap = period.
-    """
-    b = shifts.shape[0]
-    col = np.zeros(b * n, dtype=np.int16)
-    base = (np.arange(b) * n)[:, None]
-    pos_cache = {}
-    for i, c in enumerate(chars):
-        pos = (c[None, :] + shifts[:, i:i + 1]) % n
-        pos_cache[i] = pos
-        np.add.at(col, (base + pos).ravel(), 1)
-    col = col.reshape(b, n)
-    out = np.empty((b, len(rows)), dtype=np.int64)
-    for oi, i in enumerate(rows):
-        pos = pos_cache[i]
-        cf = np.take_along_axis(col, pos, axis=1) == 1
-        for bi in range(b):
-            pts = np.sort(pos[bi][cf[bi]])
-            if pts.size == 0:
-                out[bi, oi] = n
-            elif pts.size == 1:
-                out[bi, oi] = n
-            else:
-                d = np.diff(pts)
-                wrap = int(pts[0]) + n - int(pts[-1])
-                out[bi, oi] = max(int(d.max()), wrap)
-    return out
-
-
-def _assignment_batches(n: int, k: int, mode: str, samples: int,
-                        seed: int | None, cap: int):
-    """Yield (start_index, shifts_array) batches covering the requested space."""
-    if mode == "exhaustive":
-        total = _check_cap(n, k, cap)
-        done = 0
-        buf = []
-        for rest in iproduct(*[range(n)] * (k - 1)):
-            buf.append((0, *rest))
-            if len(buf) == _BATCH:
-                yield done, np.asarray(buf, dtype=np.int64)
-                done += len(buf)
-                buf = []
-        if buf:
-            yield done, np.asarray(buf, dtype=np.int64)
+        _check_cap(n, k, cap)
+        radix = [(n if hi is None else hi) - lo, *[n] * (k - 2)][:k - 1]
+        total = math.prod(radix)
+        cols = np.zeros((k, _BATCH), dtype=np.int64)
+        for start in range(0, total, _BATCH):
+            b = min(_BATCH, total - start)
+            idx = np.arange(start, start + b)
+            for col in range(k - 1, 0, -1):
+                q = idx // radix[col - 1]
+                np.subtract(idx, q * radix[col - 1], out=cols[col, :b])
+                idx = q
+            cols[1:2, :b] += lo
+            yield start, cols[:, :b].T
     elif mode == "random":
         rng = np.random.default_rng(seed)
         done = 0
@@ -370,6 +148,155 @@ def _assignment_batches(n: int, k: int, mode: str, samples: int,
             done += b
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
+
+
+def _rotations(s: SequenceSet) -> np.ndarray:
+    """Table [word, member, shift] of every member at every shift.
+
+    Column j of the period is bit j % 64 of word j // 64, so the table takes
+    k * period * ceil(period / 64) * 8 bytes.
+    """
+    n = s.period
+    words = -(-n // 64)
+    out = np.empty((words, len(s), n), dtype=np.uint64)
+    t = np.arange(n)[:, None]
+    for i, seq in enumerate(s.sequences):
+        bits = np.zeros((n, 64 * words), dtype=bool)
+        bits[t, (np.asarray(seq.ones, dtype=np.int64) + t) % n] = True
+        out[:, i] = np.packbits(bits, axis=1, bitorder="little").view(np.uint64).T
+    return out
+
+
+def _stack(rot: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stack every member at its shift, one assignment per row of `shifts`.
+
+    `occ` collects the columns holding at least one 1 and `dup` those holding
+    two or more.  Returns the conflict-free bits [word, member, assignment]
+    (a member's 1s in columns no other member touches) and the occupied bits
+    [word, assignment].  Shifts lie in [0, period), so mode="clip" changes no
+    index; it only lets `take` write into `rows` without a buffer.
+    """
+    words, k, _ = rot.shape
+    rows = np.empty((words, k, shifts.shape[0]), dtype=np.uint64)
+    occ = np.zeros((words, shifts.shape[0]), dtype=np.uint64)
+    dup = np.zeros_like(occ)
+    for i in range(k):
+        rot[:, i].take(shifts[:, i], axis=1, out=rows[:, i], mode="clip")
+        dup |= occ & rows[:, i]
+        occ |= rows[:, i]
+    rows &= ~dup[:, None]
+    return rows, occ
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Packed [word, assignment] bits back to a (assignments, n) boolean matrix."""
+    return np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1,
+                         count=n, bitorder="little").view(bool)
+
+
+def _cf_counts(cf: np.ndarray) -> np.ndarray:
+    """Conflict-free-1 counts per (member, assignment)."""
+    return np.bitwise_count(cf).sum(axis=0, dtype=np.int32)
+
+
+def _cf_gaps(cf: np.ndarray, n: int) -> np.ndarray:
+    """Max circular gap between conflict-free 1s per (member, assignment).
+
+    The gap after a conflict-free 1 is one more than the run of other columns
+    that follows it; members with fewer than two get gap = period.
+    """
+    return np.stack([np.minimum(_max_circular_run(_unpack(~cf[:, i], n)) + 1, n)
+                     for i in range(cf.shape[1])])
+
+
+def _max_circular_run(bits: np.ndarray) -> np.ndarray:
+    """Max circular run length of True per row of a boolean matrix.
+
+    Runs are read off their edges, the False bits: the run after each False
+    bit ends at the next one of its row, the last wrapping round to the
+    first.  A row with no False bit is one run of its full length.
+    """
+    b, n = bits.shape
+    row, col = np.divmod(np.flatnonzero(~bits), n)
+    out = np.full(b, n, dtype=np.int64)
+    if row.size:
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        last = np.append(first[1:], row.size) - 1
+        after = np.empty_like(col)  # column of the next False bit round the circle
+        after[:-1] = col[1:]
+        after[last] = col[first] + n
+        out[row[first]] = np.maximum.reduceat(after - col - 1, first)
+    return out
+
+
+def _chunk_ranges(n: int, jobs: int) -> list[tuple[int, int]]:
+    jobs = max(1, min(jobs, n))
+    step = -(-n // jobs)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _scan_ui(args: tuple) -> tuple[int | None, list[int] | None, int | None]:
+    """First assignment leaving some member without a conflict-free 1.
+
+    Returns (index, shifts, None) for it, or (None, None, least) with the
+    least conflict-free count seen when every assignment passes.
+    """
+    rot, mode, samples, seed, cap, lo, hi = args
+    _, k, n = rot.shape
+    least = []
+    for start, shifts in _assignment_batches(n, k, mode, samples, seed, cap, lo, hi):
+        worst = _cf_counts(_stack(rot, shifts)[0]).min(axis=0)
+        bad = np.flatnonzero(worst == 0)
+        if bad.size:
+            return start + int(bad[0]), [int(t) for t in shifts[bad[0]]], None
+        least.append(int(worst.min()))
+    return None, None, min(least, default=None)
+
+
+def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
+          seed: int | None = None, jobs: int = 1,
+          state_cap: int = DEFAULT_STATE_CAP) -> VerifyReport:
+    """Check that every member keeps a conflict-free 1 under any shifts.
+
+    Equivalent to the stacked matrix always containing a k-by-k permutation
+    submatrix.  Exhaustive mode pins the first shift to 0 and enumerates the
+    remaining period^(k-1) assignments (capped), split over `jobs` processes
+    by the second shift; random mode samples full assignments from a seeded
+    generator.  Reports the lexicographically earliest violating assignment
+    (exhaustive) or the first drawn (random).
+    """
+    n = s.period
+    k = len(s)
+    if k == 1:
+        verdict = "holds" if s.sequences[0].weight >= 1 else "violated"
+        ce = None if verdict == "holds" else {"shifts": [0]}
+        return VerifyReport("ui", "exhaustive", 1, None, verdict, ce,
+                            {"members": 1, "period": n})
+
+    rot = _rotations(s)
+    stats = {"members": k, "period": n}
+    if mode == "exhaustive":
+        states = _check_cap(n, k, state_cap)
+        args = [(rot, mode, 0, None, state_cap, lo, hi)
+                for lo, hi in _chunk_ranges(n, jobs)]
+        if len(args) == 1:
+            found = [_scan_ui(args[0])]
+        else:
+            with ProcessPoolExecutor(max_workers=len(args)) as pool:
+                found = list(pool.map(_scan_ui, args))
+        # chunks are in ascending second-shift order
+        ce = next((shifts for _, shifts, _ in found if shifts is not None), None)
+        return VerifyReport("ui", "exhaustive", states, None,
+                            "holds" if ce is None else "violated",
+                            None if ce is None else {"shifts": ce},
+                            {**stats, "pinned_first_shift": True})
+
+    index, ce, least = _scan_ui((rot, mode, samples, seed, state_cap, 0, None))
+    if ce is not None:
+        return VerifyReport("ui", "random", index + 1, seed, "violated",
+                            {"shifts": ce}, stats)
+    return VerifyReport("ui", "random", samples, seed, "holds", None,
+                        {**stats, "min_conflict_free_count": least})
 
 
 def _protected_indices(s: SequenceSet, protected_labels) -> list[int]:
@@ -398,20 +325,19 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
     if threshold is None:
         raise ValueError("threshold required (no cf_floor in meta)")
     idx = _protected_indices(s, protected_labels)
-    chars = _char_arrays(s)
-    n = s.period
+    rot = _rotations(s)
     best = None
     total = 0
-    for start, shifts in _assignment_batches(n, len(s), mode, samples, seed, state_cap):
-        counts = _cf_counts_batch(chars, n, shifts, idx)
-        worst = counts.min(axis=1)
+    for start, shifts in _assignment_batches(s.period, len(s), mode, samples, seed, state_cap):
+        counts = _cf_counts(_stack(rot, shifts)[0][:, idx])
+        worst = counts.min(axis=0)
         bmin = int(worst.min())
         total = start + shifts.shape[0]
         if best is None or bmin < best:
             best = bmin
         if bmin < threshold:
             first = int(np.nonzero(worst == bmin)[0][0])
-            row = idx[int(np.argmin(counts[first]))]
+            row = idx[int(np.argmin(counts[:, first]))]
             ce = {"shifts": [int(t) for t in shifts[first]],
                   "row": s.labels[row], "count": bmin}
             return VerifyReport("conflict_free_count", mode, start + first + 1, seed,
@@ -434,20 +360,18 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
     if bound is None:
         raise ValueError("bound required (no cf_gap_bound in meta)")
     idx = _protected_indices(s, protected_labels)
-    chars = _char_arrays(s)
-    n = s.period
+    rot = _rotations(s)
     worst_gap = 0
     total = 0
-    for start, shifts in _assignment_batches(n, len(s), mode, samples, seed, state_cap):
-        gaps = _cf_gaps_batch(chars, n, shifts, idx)
-        bworst = gaps.max(axis=1)
+    for start, shifts in _assignment_batches(s.period, len(s), mode, samples, seed, state_cap):
+        gaps = _cf_gaps(_stack(rot, shifts)[0][:, idx], s.period)
+        bworst = gaps.max(axis=0)
         bmax = int(bworst.max())
         total = start + shifts.shape[0]
-        if bmax > worst_gap:
-            worst_gap = bmax
+        worst_gap = max(worst_gap, bmax)
         if bmax > bound:
             first = int(np.nonzero(bworst == bmax)[0][0])
-            row = idx[int(np.argmax(gaps[first]))]
+            row = idx[int(np.argmax(gaps[:, first]))]
             ce = {"shifts": [int(t) for t in shifts[first]],
                   "row": s.labels[row], "gap": bmax}
             return VerifyReport("conflict_free_gap", mode, start + first + 1, seed,
@@ -465,17 +389,6 @@ def zero_column_window(m: StackedMatrix, window: int) -> bool:
     return int(_max_circular_run(occupied[None, :])[0]) <= window - 1
 
 
-def _max_circular_run(occ: np.ndarray) -> np.ndarray:
-    """Max circular run length of True per row of a boolean matrix."""
-    b, n = occ.shape
-    m = np.concatenate([occ, occ], axis=1).astype(np.int32)
-    c = np.cumsum(m, axis=1)
-    floor = np.maximum.accumulate(np.where(m == 0, c, 0), axis=1)
-    runs = c - floor
-    runs[m == 0] = 0
-    return np.minimum(runs.max(axis=1), n)
-
-
 def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaustive",
                  samples: int = 100_000, seed: int | None = None,
                  state_cap: int = DEFAULT_STATE_CAP) -> VerifyReport:
@@ -489,22 +402,14 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
         if p is None:
             raise ValueError("window required (no p in meta)")
         window = 2 * int(p)
-    n = s.period
-    chars = _char_arrays(s)
+    rot = _rotations(s)
     longest = 0
     total = 0
-    for start, shifts in _assignment_batches(n, len(s), mode, samples, seed, state_cap):
-        b = shifts.shape[0]
-        occ = np.zeros((b, n), dtype=bool)
-        base = (np.arange(b) * n)[:, None]
-        for i, c in enumerate(chars):
-            pos = (c[None, :] + shifts[:, i:i + 1]) % n
-            occ.ravel()[(base + pos).ravel()] = True
-        runs = _max_circular_run(occ)
+    for start, shifts in _assignment_batches(s.period, len(s), mode, samples, seed, state_cap):
+        runs = _max_circular_run(_unpack(_stack(rot, shifts)[1], s.period))
         bmax = int(runs.max())
-        total = start + b
-        if bmax > longest:
-            longest = bmax
+        total = start + runs.size
+        longest = max(longest, bmax)
         if bmax > window - 1:
             first = int(np.nonzero(runs == bmax)[0][0])
             ce = {"shifts": [int(t) for t in shifts[first]],
@@ -517,24 +422,20 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
 
 
 def xcorr_bound_audit(s: SequenceSet, bound: int) -> VerifyReport:
-    """Exhaustive pairwise cross-correlation bound over all shifts."""
-    worst = 0
+    """Exhaustive pairwise cross-correlation bound over all shifts.
+
+    The counterexample is the first pair reaching the largest peak, at its
+    first peak shift; pairs that never meet are not reported.
+    """
+    first, second, peak, shift = pairwise_xcorr_peaks(s.sequences)
+    worst = int(peak.max(initial=0))
     ce = None
-    k = len(s)
-    pairs = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            prof = xcorr_profile(s.sequences[i], s.sequences[j])
-            m = int(prof.max())
-            pairs += 1
-            if m > worst:
-                worst = m
-                if m > bound:
-                    t = int(np.argmax(prof))
-                    ce = {"pair": [s.labels[i], s.labels[j]], "shift": t, "value": m}
-    verdict = "holds" if worst <= bound else "violated"
-    return VerifyReport("xcorr_bound", "exhaustive", pairs * s.period, None,
-                        verdict, ce if verdict == "violated" else None,
+    if worst > max(bound, 0):
+        pair = int(np.argmax(peak))
+        ce = {"pair": [s.labels[first[pair]], s.labels[second[pair]]],
+              "shift": int(shift[pair]), "value": worst}
+    return VerifyReport("xcorr_bound", "exhaustive", peak.size * s.period, None,
+                        "holds" if worst <= bound else "violated", ce,
                         {"max_xcorr": worst, "bound": bound})
 
 
@@ -543,8 +444,6 @@ def separation_audit(s: SequenceSet, bound: int | None = None) -> VerifyReport:
 
     Default bound is meta["p"] for the families that promise it.
     """
-    from .sequences import min_separation
-
     if bound is None:
         p = s.meta.get("p")
         if p is None:

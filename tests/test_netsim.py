@@ -341,6 +341,14 @@ class TestAdversarialSearch:
         with pytest.raises(ValueError):
             adversarial_offset_search(sc, step_slots=0.01, combo_cap=100)
 
+    def test_grid_stays_within_clock_bound(self):
+        # a step that does not divide delta_c used to overshoot it (0.3 * 7 = 2.1)
+        users = [User("a", 0, 0, "g0", 7), User("b", 200, 0, "g2", 3)]
+        sc = Scenario(TimingModel(1e-3, 15, 3, 2, 1), 500.0, 1.0, 2, users,
+                      crt0_set(3, 5))
+        # the whole grid, up to delta_c itself, is scanned and stays block-free
+        assert adversarial_offset_search(sc, step_slots=0.3) is None
+
 
 class TestConfigLoading:
     def test_inline_users_and_construction(self, tmp_path):

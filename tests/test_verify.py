@@ -2,15 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protoseq.crt import (ExpandedSetSpec, crt0_set, crt_set, expanded_set,
                           select_expansion_base)
 from protoseq.rscpc import RsCpcParams, rs_cpc
 from protoseq.sequences import BinarySequence, SequenceSet
-from protoseq.verify import (StackedMatrix, StateCapExceeded, VerifyReport,
-                             _max_circular_run, conflict_free_positions,
+from protoseq.verify import (_BATCH, StackedMatrix, StateCapExceeded,
+                             VerifyReport, _max_circular_run,
+                             conflict_free_positions,
                              is_ui, max_conflict_free_gap,
                              min_conflict_free_count, separation_audit,
                              window_audit, xcorr_bound_audit,
@@ -148,7 +149,7 @@ class TestIsUi:
 
 
 class TestDenseFallback:
-    # weights above 63 bypass the bitmask tables
+    # members heavier than 63 ones, the most a 64-bit mask of a member's ones holds
 
     def test_violated(self):
         s = SequenceSet((BinarySequence(70, tuple(range(70))),
@@ -341,3 +342,194 @@ class TestSeparationAudit:
         s = SequenceSet((BinarySequence(6, (0, 3)),), ("a",))
         with pytest.raises(ValueError):
             separation_audit(s)
+
+
+# ---------------------------------------------------------------------------
+# the packed shift-space engine against a dense column-count oracle
+
+def stack_facts(s, shifts):
+    """Conflict-free counts and gaps per member, and the longest occupied run."""
+    rows = StackedMatrix.from_set(s, shifts).rows.tolist()
+    col = [sum(c) for c in zip(*rows)]
+    n = len(col)
+    counts, gaps = [], []
+    for row in rows:
+        cf = [x for x in range(n) if row[x] and col[x] == 1]
+        counts.append(len(cf))
+        gaps.append(n if len(cf) < 2 else
+                    max((cf[(a + 1) % len(cf)] - cf[a]) % n for a in range(len(cf))))
+    best = cur = 0
+    for c in col + col:
+        cur = cur + 1 if c else 0
+        best = max(best, cur)
+    return counts, gaps, min(best, n)
+
+
+def oracle_reports(s, mode, samples, seed, protected, threshold, bound, window):
+    """Reports of all four audits, from one dense evaluation per assignment.
+
+    Exhaustive mode lists the space with the first shift pinned; random mode
+    draws _BATCH-sized blocks exactly as the audits' sampling contract says.
+    The floor, gap and window audits report the first assignment reaching
+    the extreme of the first _BATCH block that crosses their limit.
+    """
+    n, k = s.period, len(s)
+    if mode == "exhaustive":
+        space = [(0, *rest) for rest in itertools.product(range(n), repeat=k - 1)]
+    else:
+        rng = np.random.default_rng(seed)
+        space = []
+        while len(space) < samples:
+            b = min(_BATCH, samples - len(space))
+            space += [tuple(int(t) for t in row) for row in rng.integers(0, n, size=(b, k))]
+    facts = [stack_facts(s, shifts) for shifts in space]
+    blocks = [range(a, min(a + _BATCH, len(space))) for a in range(0, len(space), _BATCH)]
+    rows = [s.labels.index(l) for l in protected]
+    out = {}
+
+    def report(prop, n_samples, verdict, ce, stats):
+        return {"property": prop, "mode": mode, "samples": n_samples,
+                "seed": None if mode == "exhaustive" and prop == "ui" else seed,
+                "verdict": verdict, "counterexample": ce, "stats": stats}
+
+    bad = next((a for a, f in enumerate(facts) if min(f[0]) == 0), None)
+    ce = None if bad is None else {"shifts": list(space[bad])}
+    if mode == "exhaustive":
+        out["ui"] = report("ui", len(space), "holds" if bad is None else "violated", ce,
+                           {"members": k, "period": n, "pinned_first_shift": True})
+    elif bad is not None:
+        out["ui"] = report("ui", bad + 1, "violated", ce, {"members": k, "period": n})
+    else:
+        least = min((min(f[0]) for f in facts), default=None)
+        out["ui"] = report("ui", samples, "holds", None,
+                           {"members": k, "period": n, "min_conflict_free_count": least})
+
+    def scan(value, extreme, crossed):
+        best = None
+        for block in blocks:
+            vals = [value(a) for a in block]
+            ext = extreme(vals)
+            best = ext if best is None else extreme(best, ext)
+            if crossed(ext):
+                return block[vals.index(ext)], ext
+        return None, best
+
+    a, m = scan(lambda a: min(facts[a][0][r] for r in rows), min, lambda m: m < threshold)
+    if a is None:
+        out["count"] = report("conflict_free_count", len(space), "holds", None,
+                              {"min_count": m, "threshold": threshold})
+    else:
+        row = rows[[facts[a][0][r] for r in rows].index(m)]
+        out["count"] = report("conflict_free_count", a + 1, "violated",
+                              {"shifts": list(space[a]), "row": s.labels[row], "count": m},
+                              {"min_count": m, "threshold": threshold})
+
+    a, m = scan(lambda a: max(facts[a][1][r] for r in rows), max, lambda m: m > bound)
+    if a is None:
+        out["gap"] = report("conflict_free_gap", len(space), "holds", None,
+                            {"max_gap": m or 0, "bound": bound})
+    else:
+        row = rows[[facts[a][1][r] for r in rows].index(m)]
+        out["gap"] = report("conflict_free_gap", a + 1, "violated",
+                            {"shifts": list(space[a]), "row": s.labels[row], "gap": m},
+                            {"max_gap": m, "bound": bound})
+
+    a, m = scan(lambda a: facts[a][2], max, lambda m: m > window - 1)
+    if a is None:
+        out["window"] = report("zero_column_window", len(space), "holds", None,
+                               {"max_occupied_run": m or 0, "window": window})
+    else:
+        out["window"] = report("zero_column_window", a + 1, "violated",
+                               {"shifts": list(space[a]), "occupied_run": m,
+                                "window": window},
+                               {"max_occupied_run": m, "window": window})
+    return out
+
+
+@st.composite
+def word_edge_families(draw, exhaustive):
+    """Families at the 64-bit word edges, dense members included."""
+    n = draw(st.sampled_from([63, 64, 65, 128, 129]))
+    k = draw(st.sampled_from([2, 3] if exhaustive and n < 128 else
+                             [2] if exhaustive else [2, 3, 4]))
+    members = []
+    for _ in range(k):
+        density = draw(st.sampled_from([0.0, 0.03, 0.1, 0.3, 0.6, 0.97]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        ones = np.flatnonzero(rng.random(n) < density)
+        members.append(BinarySequence(n, tuple(int(x) for x in ones)))
+    labels = tuple(f"m{i}" for i in range(k))
+    s = SequenceSet(tuple(members), labels)
+    protected = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=k,
+                              unique=True))
+    limits = dict(threshold=draw(st.integers(0, 6)), bound=draw(st.integers(1, n)),
+                  window=draw(st.integers(1, n)))
+    return s, protected, limits
+
+
+def engine_reports(s, mode, samples, seed, protected, threshold, bound, window):
+    kw = dict(mode=mode, samples=samples, seed=seed)
+    return {
+        "ui": is_ui(s, **kw).to_json(),
+        "count": min_conflict_free_count(s, protected, threshold=threshold, **kw).to_json(),
+        "gap": max_conflict_free_gap(s, protected, bound=bound, **kw).to_json(),
+        "window": window_audit(s, window=window, **kw).to_json(),
+    }
+
+
+class TestEngineAgainstDenseOracle:
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(word_edge_families(exhaustive=True))
+    def test_exhaustive_reports(self, case):
+        s, protected, limits = case
+        args = ("exhaustive", 0, None, protected)
+        assert engine_reports(s, *args, **limits) == oracle_reports(s, *args, **limits)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(word_edge_families(exhaustive=False), st.integers(0, 2 ** 32 - 1))
+    def test_random_reports(self, case, seed):
+        s, protected, limits = case
+        args = ("random", 150, seed, protected)
+        assert engine_reports(s, *args, **limits) == oracle_reports(s, *args, **limits)
+
+    def test_random_reports_across_blocks(self):
+        # the least conflict-free count, 1, turns up in the first block only
+        s = SequenceSet((BinarySequence(39, (2, 10, 13, 23, 29, 35)),
+                         BinarySequence(39, (5, 18, 20, 21, 27, 31, 38)),
+                         BinarySequence(39, (0, 2, 14, 19, 23, 37))), ("a", "b", "c"))
+        args = ("random", _BATCH + 300, 9, ["a", "c"])
+        limits = dict(threshold=0, bound=39, window=39)
+        assert engine_reports(s, *args, **limits) == oracle_reports(s, *args, **limits)
+
+
+class TestLaterBlockViolations:
+    """Exhaustive floor and gap violations first met past the first _BATCH block.
+
+    Member b covers column 0 of member a from shift 98 on and columns 0 and
+    2 from shift 100, so the first crossing (0, 98, ...) has count 2 and
+    gap 199, while the block's extreme at (0, 100, 151) has count 1 and gap
+    200.  The reports, frozen from the per-audit kernels the shared engine
+    replaced, name the extreme.
+    """
+
+    FAMILY = SequenceSet((BinarySequence(200, (0, 1, 2, 3)),
+                          BinarySequence(200, (100, 102)),
+                          BinarySequence(200, (50,))), ("a", "b", "c"))
+
+    def test_min_count(self):
+        r = min_conflict_free_count(self.FAMILY, ["a"], mode="exhaustive", threshold=3)
+        assert r.samples > _BATCH
+        assert r.to_json() == {
+            "property": "conflict_free_count", "mode": "exhaustive", "samples": 20152,
+            "seed": None, "verdict": "violated",
+            "counterexample": {"shifts": [0, 100, 151], "row": "a", "count": 1},
+            "stats": {"min_count": 1, "threshold": 3}}
+
+    def test_max_gap(self):
+        r = max_conflict_free_gap(self.FAMILY, ["a"], mode="exhaustive", bound=198)
+        assert r.samples > _BATCH
+        assert r.to_json() == {
+            "property": "conflict_free_gap", "mode": "exhaustive", "samples": 20152,
+            "seed": None, "verdict": "violated",
+            "counterexample": {"shifts": [0, 100, 151], "row": "a", "gap": 200},
+            "stats": {"max_gap": 200, "bound": 198}}
