@@ -10,16 +10,17 @@ __version__ = "0.1.0"
 
 from .crt import (ExpandedSetSpec, all_ones, crt0_set, crt_set, expanded_set,
                   product, select_expansion_base)
-from .hexalloc import (HexCell, PositionLogEntry, ReusePlan, allocate,
-                       cell_center, cell_distance, check_fermion, cluster_size,
-                       quantize)
+from .config import sequences_from_config
+from .hexalloc import (HexCell, PositionLogEntry, ReusePlan, cell_center,
+                       cell_distance, check_fermion, cluster_size, quantize)
 from .netsim import (SPEED_OF_LIGHT, BlockFreeReport, ReceptionLog, Scenario,
                      TimingModel, User, adversarial_offset_search,
-                     baseline_compare, check_block_free, delta_p,
-                     frame_offset_audit, run_superframe, sequences_from_config)
+                     check_block_free, delta_p, frame_offset_audit,
+                     run_superframe)
 from .rscpc import (ParamSearchError, RsCpcParams, SelectedParams,
-                    element_of_order, length_bounds, pad_set, pad_silent,
-                    rs_cpc, select_params_prop1, select_params_prop2, tdma_set)
+                    baseline_compare, element_of_order, length_bounds, pad_set,
+                    pad_silent, rs_cpc, select_params_prop1,
+                    select_params_prop2, tdma_set)
 from .sequences import (BinarySequence, CrtIndexPair, SequenceSet,
                         crt_map, crt_unmap, cyclic_min_distance, cyclic_order,
                         cyclic_shift, hamming_xcorr, min_separation,
@@ -41,7 +42,8 @@ __all__ = [
     "expanded_set", "select_expansion_base", "RsCpcParams", "rs_cpc",
     "element_of_order", "pad_silent", "pad_set", "tdma_set",
     "SelectedParams", "select_params_prop1", "select_params_prop2",
-    "length_bounds", "ParamSearchError",
+    "length_bounds", "ParamSearchError", "baseline_compare",
+    "sequences_from_config",
     # verification
     "StackedMatrix", "VerifyReport", "StateCapExceeded",
     "conflict_free_positions", "is_ui", "min_conflict_free_count",
@@ -49,10 +51,9 @@ __all__ = [
     "xcorr_bound_audit", "separation_audit",
     # geometry and allocation
     "HexCell", "cell_center", "quantize", "cell_distance", "cluster_size",
-    "ReusePlan", "allocate", "PositionLogEntry", "check_fermion",
+    "ReusePlan", "PositionLogEntry", "check_fermion",
     # simulation
     "SPEED_OF_LIGHT", "delta_p", "TimingModel", "User", "Scenario",
     "ReceptionLog", "run_superframe", "BlockFreeReport", "check_block_free",
-    "frame_offset_audit", "adversarial_offset_search", "baseline_compare",
-    "sequences_from_config",
+    "frame_offset_audit", "adversarial_offset_search",
 ]

@@ -23,19 +23,14 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
+from .config import CONSTRUCTIONS, sequences_from_config
 from .hexalloc import HexCell, ReusePlan, cluster_size
-from .netsim import (Scenario, baseline_compare, check_block_free,
-                     frame_offset_audit, run_superframe,
-                     sequences_from_config)
-from .rscpc import ParamSearchError, select_params_prop1, select_params_prop2
-from .sequences import SequenceSet
-from .verify import (StateCapExceeded, is_ui, max_conflict_free_gap,
-                     min_conflict_free_count, separation_audit, window_audit,
-                     xcorr_bound_audit)
-
-
-class UsageError(ValueError):
-    pass
+from .netsim import (Scenario, check_block_free, frame_offset_audit,
+                     run_superframe)
+from .rscpc import baseline_compare, select_params_prop1, select_params_prop2
+from .sequences import SequenceSet, json_text
+from .verify import (is_ui, max_conflict_free_gap, min_conflict_free_count,
+                     separation_audit, window_audit, xcorr_bound_audit)
 
 
 def _digest(obj) -> str:
@@ -55,7 +50,7 @@ def _manifest_core(args: argparse.Namespace, extra: dict | None = None) -> dict:
 def _emit(doc: dict, args: argparse.Namespace, manifest: dict) -> None:
     doc = dict(doc)
     doc["manifest"] = manifest
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json_text(doc)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -70,50 +65,37 @@ def _write_sidecar(out_path: str, manifest: dict, outputs: list[str]) -> None:
     side["outputs"] = outputs
     side["created_utc"] = datetime.now(timezone.utc).isoformat()
     with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(side, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(side))
 
 
 def _require(args, *names):
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        raise UsageError(f"missing required flag(s): "
+        raise ValueError(f"missing required flag(s): "
                          + ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
 # ---------------------------------------------------------------------------
 
-def _gen_config(args) -> dict:
-    kind = args.kind
-    cfg: dict = {"construction": kind}
-    if kind in ("crt", "crt0"):
-        _require(args, "p", "q")
-        cfg.update(p=int(args.p), q=int(args.q))
-    elif kind == "rs_cpc":
-        _require(args, "n", "p", "k")
-        cfg.update(n=int(args.n), p=int(args.p), k=int(args.k))
-        if args.alpha is not None:
-            cfg["alpha"] = int(args.alpha)
-    elif kind == "product":
-        _require(args, "x", "y")
-        cfg.update(x={"file": args.x}, y={"file": args.y})
-    elif kind == "expanded":
-        _require(args, "base", "p", "m")
-        cfg.update(base={"file": args.base}, p=int(args.p), M=int(args.m))
-        if args.split:
-            cfg["split_labels"] = args.split.split(",")
-    elif kind == "tdma":
-        _require(args, "g", "delta")
-        cfg.update(G=int(args.g), delta=int(args.delta))
-    else:
-        raise UsageError(f"unknown construction {kind!r}")
-    if args.pad:
-        cfg["pad_slots"] = int(args.pad)
-    return cfg
+# gen flag -> config key; the file flags name saved sets, and an empty
+# string counts as absent (--pad 0 pads nothing either way)
+_GEN_KEYS = {"p": "p", "q": "q", "n": "n", "k": "k", "alpha": "alpha",
+             "g": "G", "delta": "delta", "m": "M", "x": "x", "y": "y",
+             "base": "base", "split": "split_labels", "pad": "pad_slots"}
+_FILE_FLAGS = ("x", "y", "base")
 
 
 def cmd_gen(args) -> int:
-    cfg = _gen_config(args)
+    cfg = {"construction": args.kind}
+    for flag, key in _GEN_KEYS.items():
+        value = getattr(args, flag)
+        if value is None or value == "":
+            continue
+        if flag in _FILE_FLAGS:
+            value = {"file": value}
+        elif flag == "split":
+            value = value.split(",")
+        cfg[key] = value
     s = sequences_from_config(cfg)
     weights = sorted({seq.weight for seq in s.sequences})
     print(f"{len(s)} sequences, period {s.period}, weights {weights}",
@@ -130,7 +112,7 @@ def _load_set(args) -> SequenceSet:
     if args.property == "window" and getattr(args, "p", None):
         from .crt import crt0_set
         return crt0_set(int(args.p), 2 * int(args.p) - 1)
-    raise UsageError("provide --set FILE or --config JSON"
+    raise ValueError("provide --set FILE or --config JSON"
                      + (" or --p" if args.property == "window" else ""))
 
 
@@ -140,8 +122,11 @@ def cmd_verify(args) -> int:
     mode = args.mode
     protected = args.protected.split(",") if args.protected else None
     if prop == "ui":
+        # resolved here, not as the flag's default, so that the host's CPU
+        # count never reaches the manifest's config digest
+        jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
         rep = is_ui(s, mode=mode, samples=args.samples, seed=args.seed,
-                    jobs=args.jobs)
+                    jobs=jobs)
     elif prop == "xcorr":
         _require(args, "bound")
         rep = xcorr_bound_audit(s, int(args.bound))
@@ -160,8 +145,6 @@ def cmd_verify(args) -> int:
         rep = max_conflict_free_gap(
             s, protected, mode=mode, samples=args.samples, seed=args.seed,
             bound=int(args.bound) if args.bound is not None else None)
-    else:
-        raise UsageError(f"unknown property {prop!r}")
     _emit(rep.to_json(), args, _manifest_core(args))
     print(f"{prop}: {rep.verdict}", file=sys.stderr)
     return rep.exit_code
@@ -176,14 +159,13 @@ def cmd_alloc(args) -> int:
     doc = {"G": G, "b1": b1, "b2": b2,
            "threshold": (2 * R / d) ** 2,
            "min_cochannel_m": d * math.sqrt(G)}
+    plan = ReusePlan(h, R, G, b1, b2)
     if args.cell:
         m, n = (int(v) for v in args.cell.split(","))
-        plan = ReusePlan(h, R, G, b1, b2)
         doc["cell"] = [m, n]
         doc["index"] = plan.allocate(HexCell(m, n))
         print(f"cell ({m},{n}) -> index {doc['index']}", file=sys.stderr)
     else:
-        plan = ReusePlan(h, R, G, b1, b2)
         doc["plan"] = plan.to_json()
         print(f"G={G} (b1={b1}, b2={b2}), min cochannel "
               f"{doc['min_cochannel_m']:.3f} m", file=sys.stderr)
@@ -221,19 +203,17 @@ def cmd_sim(args) -> int:
     doc = report.to_json()
     doc["frame_offset_audit"] = frame_offset_audit(log, sc)
     manifest = _manifest_core(args, {"config_content": cfg, "resolved_seed": seed})
+    doc["manifest"] = manifest
     if args.out:
         report_path = args.out + ".report.json"
         csv_path = args.out + ".log.csv"
-        doc["manifest"] = manifest
         with open(report_path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(doc))
         log.to_csv(csv_path)
         _write_sidecar(args.out, manifest, [report_path, csv_path])
         print(f"wrote {report_path} and {csv_path}", file=sys.stderr)
     else:
-        doc["manifest"] = manifest
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(doc))
     print(f"block_free: {report.verdict}", file=sys.stderr)
     return report.exit_code
 
@@ -265,7 +245,7 @@ def cmd_compare(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    common.add_argument("--jobs", type=int, default=None)
     common.add_argument("--out", type=str, default=None)
 
     ap = argparse.ArgumentParser(
@@ -276,8 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", parents=[common],
                        help="construct a sequence set and write it as JSON")
-    g.add_argument("kind", choices=["crt", "crt0", "rs_cpc", "product",
-                                    "expanded", "tdma"])
+    g.add_argument("kind", choices=list(CONSTRUCTIONS))
     g.add_argument("--p", type=int)
     g.add_argument("--q", type=int)
     g.add_argument("--n", type=int)
@@ -346,13 +325,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except StateCapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (UsageError, ParamSearchError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    # missing flags, state-cap overruns, infeasible searches and malformed
+    # JSON are all ValueErrors
+    except (ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

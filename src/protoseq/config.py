@@ -1,0 +1,78 @@
+"""Sequence sets from config fragments; the only module that knows the
+construction names.
+
+A fragment names a saved set (``file``, relative to ``base_dir``), holds
+inline members (``sequences``) or names a ``construction`` with the keys
+``CONSTRUCTIONS`` requires of it.  Any fragment may add ``select`` (labels
+to keep, in order) and ``pad_slots``.  Keys a fragment does not use are
+ignored.
+"""
+
+from __future__ import annotations
+
+import os
+
+from . import crt, rscpc
+from .sequences import SequenceSet
+
+__all__ = ["CONSTRUCTIONS", "sequences_from_config"]
+
+
+def _product(cfg: dict, base_dir: str) -> SequenceSet:
+    x = sequences_from_config(cfg["x"], base_dir)
+    y = sequences_from_config(cfg["y"], base_dir)
+    pairs = [(lx, sx, ly, sy) for lx, sx in x for ly, sy in y]
+    return SequenceSet(tuple(crt.product(sx, sy) for _, sx, _, sy in pairs),
+                       tuple(f"{lx}*{ly}" for lx, _, ly, _ in pairs),
+                       {"construction": "product"})
+
+
+def _expanded(cfg: dict, base_dir: str) -> SequenceSet:
+    base = sequences_from_config(cfg["base"], base_dir)
+    return crt.expanded_set(crt.ExpandedSetSpec(
+        base_set=base, p=int(cfg["p"]), M=int(cfg["M"]),
+        split_labels=cfg.get("split_labels")))
+
+
+# construction name -> (required keys, builder(cfg, base_dir))
+CONSTRUCTIONS = {
+    "crt": (("p", "q"), lambda c, _: crt.crt_set(int(c["p"]), int(c["q"]))),
+    "crt0": (("p", "q"), lambda c, _: crt.crt0_set(int(c["p"]), int(c["q"]))),
+    "rs_cpc": (("n", "p", "k"), lambda c, _: rscpc.rs_cpc(rscpc.RsCpcParams(
+        int(c["n"]), int(c["p"]), int(c["k"]), c.get("alpha")))),
+    "product": (("x", "y"), _product),
+    "expanded": (("base", "p", "M"), _expanded),
+    "tdma": (("G", "delta"), lambda c, _: rscpc.tdma_set(int(c["G"]), int(c["delta"]))),
+}
+
+
+def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
+    """Build or load a sequence set from a config fragment.
+
+    A missing required key raises ValueError naming the construction and
+    the key.
+    """
+    if "file" in cfg:
+        s = SequenceSet.load(os.path.join(base_dir, cfg["file"]))
+    elif "sequences" in cfg:
+        s = SequenceSet.from_json(cfg)
+    elif "construction" in cfg:
+        kind = cfg["construction"]
+        if kind not in CONSTRUCTIONS:
+            raise ValueError(f"unknown construction {kind!r}; expected one of "
+                             + ", ".join(CONSTRUCTIONS))
+        required, build = CONSTRUCTIONS[kind]
+        missing = [key for key in required if cfg.get(key) is None]
+        if missing:
+            raise ValueError(f"construction {kind!r} is missing required key(s): "
+                             + ", ".join(repr(key) for key in missing))
+        s = build(cfg, base_dir)
+    else:
+        raise ValueError("a sequence config needs a 'file', 'sequences' or "
+                         "'construction' key")
+    if cfg.get("select"):
+        s = s.select(list(cfg["select"]))
+    pad = int(cfg.get("pad_slots", 0))
+    if pad:
+        s = rscpc.pad_set(s, pad)
+    return s

@@ -7,7 +7,7 @@ verifiers and the allocator can recover parameters without re-deriving them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,26 +110,20 @@ class ExpandedSetSpec:
     M:        maximum number of simultaneous interferers to protect against.
     split_labels: the p base members that get paired with the spacing family;
         defaults to the first p labels.
-    n, k:     base-code parameters (columns and degree bound); read from the
-        base set's meta when omitted.
+
+    The base-code parameters n (columns) and k (degree bound) come from the
+    base set's meta.
     """
 
     base_set: SequenceSet
     p: int
     M: int
     split_labels: tuple[str, ...] = ()
-    n: int | None = None
-    k: int | None = None
-    check_xcorr: bool = True
 
     def __post_init__(self) -> None:
         if not self.split_labels:
             self.split_labels = tuple(self.base_set.labels[: self.p])
         self.split_labels = tuple(self.split_labels)
-        if self.n is None:
-            self.n = self.base_set.meta.get("n")
-        if self.k is None:
-            self.k = self.base_set.meta.get("k")
 
 
 def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
@@ -146,8 +140,8 @@ def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
       p(3p-1)/2 conflict-free ones per period.
 
     Preconditions: p prime, p <= M, gcd(p(2p-1), base period) = 1,
-    n >= (k-1)(M-1) + 1, and pairwise cross-correlation of the base <= k-1
-    (audited unless check_xcorr is False).
+    n >= (k-1)(M-1) + 1 for the n and k in the base set's meta, and
+    pairwise cross-correlation of the base <= k-1 (audited).
     """
     base, p, M = spec.base_set, spec.p, spec.M
     if not _is_prime(p):
@@ -158,24 +152,24 @@ def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
     spread = p * (2 * p - 1)
     if math.gcd(spread, L) != 1:
         raise ValueError(f"gcd(p(2p-1), base period) must be 1, got gcd({spread}, {L})")
-    if spec.n is None or spec.k is None:
-        raise ValueError("base code parameters n and k required (meta or explicit)")
-    n, k = int(spec.n), int(spec.k)
+    n, k = base.meta.get("n"), base.meta.get("k")
+    if n is None or k is None:
+        raise ValueError("base set meta must record code parameters n and k")
+    n, k = int(n), int(k)
     if n < (k - 1) * (M - 1) + 1:
         raise ValueError(f"need n >= (k-1)(M-1)+1 = {(k - 1) * (M - 1) + 1}, got n={n}")
     if len(spec.split_labels) != p or len(set(spec.split_labels)) != p:
         raise ValueError(f"split_labels must name {p} distinct members")
     for lab in spec.split_labels:
         base.get(lab)  # raises KeyError if absent
-    if spec.check_xcorr:
-        first, second, peak, _ = pairwise_xcorr_peaks(base.sequences)
-        over = np.flatnonzero(peak > k - 1)
-        if over.size:
-            pair = over[0]
-            raise ValueError(
-                f"base pair ({base.labels[first[pair]]}, {base.labels[second[pair]]}) "
-                f"has cross-correlation {peak[pair]} > k-1 = {k - 1}"
-            )
+    first, second, peak, _ = pairwise_xcorr_peaks(base.sequences)
+    over = np.flatnonzero(peak > k - 1)
+    if over.size:
+        pair = over[0]
+        raise ValueError(
+            f"base pair ({base.labels[first[pair]]}, {base.labels[second[pair]]}) "
+            f"has cross-correlation {peak[pair]} > k-1 = {k - 1}"
+        )
 
     spacing = crt0_set(p, 2 * p - 1)
     ones_seq = all_ones(spread)

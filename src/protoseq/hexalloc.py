@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .sequences import json_text
+
 __all__ = [
     "HexCell",
     "cell_center",
@@ -21,7 +23,6 @@ __all__ = [
     "cell_distance",
     "cluster_size",
     "ReusePlan",
-    "allocate",
     "PositionLogEntry",
     "check_fermion",
 ]
@@ -88,11 +89,16 @@ def cluster_size(R: float, h: float) -> tuple[int, int, int]:
     bound = math.isqrt(int(math.ceil(target))) + 2
     best = None
     for b1 in range(bound + 1):
-        for b2 in range(b1 + 1):
-            v = b1 * b1 + b1 * b2 + b2 * b2
-            if v >= target and (best is None or v < best[0]
-                                or (v == best[0] and (b1, b2) < best[1:])):
-                best = (v, b1, b2)
+        # b1^2 + b1*b2 + b2^2 grows with b2, so each b1 needs only its
+        # smallest b2 reaching the target.  The floor of the quadratic's
+        # positive root is at most that b2 (its float error is far below 1
+        # at any size this loop can reach); exact comparisons step it up.
+        b2 = max(0, math.floor((math.sqrt(max(4 * target - 3 * b1 * b1, 0)) - b1) / 2))
+        while b1 * b1 + b1 * b2 + b2 * b2 < target:
+            b2 += 1
+        cand = (b1 * b1 + b1 * b2 + b2 * b2, b1, b2)
+        if b2 <= b1 and (best is None or cand < best):
+            best = cand
     return best
 
 
@@ -194,17 +200,12 @@ class ReusePlan:
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(self.to_json()))
 
     @classmethod
     def load(cls, path: str) -> "ReusePlan":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-
-def allocate(c: HexCell, plan: ReusePlan) -> str:
-    return plan.allocate(c)
 
 
 @dataclass(frozen=True)

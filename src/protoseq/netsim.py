@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import sequences_from_config
 from .hexalloc import HexCell, ReusePlan, cell_center, quantize
 from .sequences import SequenceSet
 
@@ -40,8 +41,6 @@ __all__ = [
     "check_block_free",
     "frame_offset_audit",
     "adversarial_offset_search",
-    "baseline_compare",
-    "sequences_from_config",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -126,7 +125,6 @@ class Scenario:
     sequence_set: SequenceSet
     plan: ReusePlan | None = None
     slot_synchronized: bool = False
-    v_mps: float = 0.0
 
     def __post_init__(self):
         if self.R_m <= 0 or self.h_m <= 0:
@@ -306,7 +304,7 @@ class Scenario:
                           (float(u["offset_s"]) if u.get("offset_s") is not None
                            else None)) for u in users_cfg]
         return cls(timing, R, float(cfg["h_m"]), int(cfg["M"]), users, seq,
-                   plan, slot_sync, float(cfg.get("v_mps", 0.0)))
+                   plan, slot_sync)
 
     @classmethod
     def load(cls, path: str) -> "Scenario":
@@ -507,11 +505,6 @@ class BlockFreeReport:
                 "violations": self.violations, "counts": self.counts,
                 "stats": self.stats}
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
     """Every neighbor must be heard contention-free in every normal frame.
@@ -601,80 +594,3 @@ def adversarial_offset_search(sc: Scenario, step_slots: float = 0.5,
         if not report.holds:
             return [float(o) * tm.tau_s for o in combo], report
     return None
-
-
-# ---------------------------------------------------------------------------
-# scheme comparison
-
-def baseline_compare(M: int, G: int, delta: int) -> dict:
-    """Frame lengths achieved by the dedicated-slot baseline and the two
-    sequence constructions, against the quadratic floor.
-    """
-    from .rscpc import (length_bounds, select_params_prop1,
-                        select_params_prop2)
-
-    floor = length_bounds(M)[1]
-    rows = [{"scheme": "tdma", "frame_slots": (delta + 1) * G,
-             "params": {"G": G, "delta": delta}}]
-    for name, sel in (("prop1", select_params_prop1(M, G, delta)),
-                      ("prop2", select_params_prop2(M, G))):
-        rows.append({"scheme": name, "frame_slots": sel.period,
-                     "params": {"n": sel.n, "p": sel.p, "k": sel.k}})
-    for r in rows:
-        r["meets_floor"] = bool(r["frame_slots"] >= floor)
-    winner = min(rows, key=lambda r: r["frame_slots"])["scheme"]
-    return {"M": M, "G": G, "delta": delta, "floor": floor, "rows": rows,
-            "winner": winner,
-            "note": ("dedicated slots stay competitive only when the local "
-                     "user bound M is on the order of the population G; "
-                     "otherwise the sequence schemes need far shorter frames")}
-
-
-# ---------------------------------------------------------------------------
-# sequence-source dispatch (shared with the CLI)
-
-def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
-    """Build or load a sequence set from a config fragment."""
-    from . import crt, rscpc
-
-    if "file" in cfg:
-        s = SequenceSet.load(os.path.join(base_dir, cfg["file"]))
-    elif "sequences" in cfg:
-        s = SequenceSet.from_json(cfg)
-    else:
-        kind = cfg["construction"]
-        if kind == "crt":
-            s = crt.crt_set(int(cfg["p"]), int(cfg["q"]))
-        elif kind == "crt0":
-            s = crt.crt0_set(int(cfg["p"]), int(cfg["q"]))
-        elif kind == "rs_cpc":
-            params = rscpc.RsCpcParams(n=int(cfg["n"]), p=int(cfg["p"]),
-                                       k=int(cfg["k"]),
-                                       alpha=cfg.get("alpha"))
-            s = rscpc.rs_cpc(params)
-        elif kind == "product":
-            x = sequences_from_config(cfg["x"], base_dir)
-            y = sequences_from_config(cfg["y"], base_dir)
-            pairs = [(lx, sx, ly, sy) for lx, sx in x for ly, sy in y]
-            from .crt import product as seq_product
-            from .sequences import SequenceSet as SS
-            seqs = tuple(seq_product(sx, sy) for lx, sx, ly, sy in pairs)
-            labels = tuple(f"{lx}*{ly}" for lx, sx, ly, sy in pairs)
-            s = SS(seqs, labels, {"construction": "product"})
-        elif kind == "expanded":
-            base = sequences_from_config(cfg["base"], base_dir)
-            spec = crt.ExpandedSetSpec(base_set=base, p=int(cfg["p"]),
-                                       M=int(cfg["M"]),
-                                       split_labels=cfg.get("split_labels"))
-            s = crt.expanded_set(spec)
-        elif kind == "tdma":
-            s = rscpc.tdma_set(int(cfg["G"]), int(cfg["delta"]))
-        else:
-            raise ValueError(f"unknown construction {kind!r}")
-    if cfg.get("select"):
-        s = s.select(list(cfg["select"]))
-    pad = int(cfg.get("pad_slots", 0))
-    if pad:
-        from .rscpc import pad_set
-        s = pad_set(s, pad)
-    return s

@@ -7,7 +7,8 @@ an order-n element makes any nonzero cyclic shift leave the codebook, which
 yields full cyclic order and pairwise cyclic distinctness.
 
 Also here: silent-slot padding, the trivial one-slot-per-member round-robin
-family, and the two parameter searches used for sizing comparisons.
+family, the two parameter searches used for sizing comparisons, and the
+comparison table built from them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "select_params_prop1",
     "select_params_prop2",
     "length_bounds",
+    "baseline_compare",
 ]
 
 
@@ -221,3 +223,24 @@ def length_bounds(M: int) -> tuple[int, int]:
     if M < 1:
         raise ValueError("M must be >= 1")
     return M, -(-8 * M * M // 9)
+
+
+def baseline_compare(M: int, G: int, delta: int) -> dict:
+    """Frame lengths achieved by the dedicated-slot baseline and the two
+    sequence constructions, against the quadratic floor.
+    """
+    floor = length_bounds(M)[1]
+    rows = [{"scheme": "tdma", "frame_slots": (delta + 1) * G,
+             "params": {"G": G, "delta": delta}}]
+    for name, sel in (("prop1", select_params_prop1(M, G, delta)),
+                      ("prop2", select_params_prop2(M, G))):
+        rows.append({"scheme": name, "frame_slots": sel.period,
+                     "params": {"n": sel.n, "p": sel.p, "k": sel.k}})
+    for r in rows:
+        r["meets_floor"] = bool(r["frame_slots"] >= floor)
+    winner = min(rows, key=lambda r: r["frame_slots"])["scheme"]
+    return {"M": M, "G": G, "delta": delta, "floor": floor, "rows": rows,
+            "winner": winner,
+            "note": ("dedicated slots stay competitive only when the local "
+                     "user bound M is on the order of the population G; "
+                     "otherwise the sequence schemes need far shorter frames")}

@@ -198,6 +198,11 @@ def crt_unmap(pair: tuple[int, int], p: int, q: int) -> int:
     return (r * q * pow(q, -1, p) + c * p * pow(p, -1, q)) % (p * q)
 
 
+def json_text(doc) -> str:
+    """The package's JSON data format: two-space indent, sorted keys, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _require_coprime(p: int, q: int) -> None:
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise ValueError(f"p and q must be coprime positive integers, got ({p}, {q})")
@@ -278,8 +283,7 @@ class SequenceSet:
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(self.to_json()))
 
     @classmethod
     def load(cls, path: str) -> "SequenceSet":

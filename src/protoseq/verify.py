@@ -10,14 +10,14 @@ on failure.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import SequenceSet, min_separation, pairwise_xcorr_peaks
+from .sequences import (SequenceSet, json_text, min_separation,
+                        pairwise_xcorr_peaks)
 
 __all__ = [
     "StackedMatrix",
@@ -98,8 +98,7 @@ class VerifyReport:
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(self.to_json()))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +304,10 @@ def _protected_indices(s: SequenceSet, protected_labels) -> list[int]:
         if labels is None:
             raise ValueError("protected_labels required (no open_labels in meta)")
         protected_labels = [l for l in labels if l in s.labels]
+    unknown = [l for l in protected_labels if l not in s.labels]
+    if unknown:
+        raise ValueError("protected label(s) not in the set: "
+                         + ", ".join(repr(l) for l in unknown))
     idx = [s.labels.index(l) for l in protected_labels]
     if not idx:
         raise ValueError("no protected rows selected")
@@ -380,11 +383,14 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
                         {"max_gap": worst_gap, "bound": bound})
 
 
+def _check_window(window: int, period: int) -> None:
+    if not 1 <= window <= period:
+        raise ValueError(f"window must lie in [1, period], got {window}")
+
+
 def zero_column_window(m: StackedMatrix, window: int) -> bool:
     """True iff every circular window of `window` columns has an all-zero column."""
-    n = m.rows.shape[1]
-    if not 1 <= window <= n:
-        raise ValueError(f"window must lie in [1, period], got {window}")
+    _check_window(window, m.rows.shape[1])
     occupied = m.rows.sum(axis=0) > 0
     return int(_max_circular_run(occupied[None, :])[0]) <= window - 1
 
@@ -402,6 +408,7 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
         if p is None:
             raise ValueError("window required (no p in meta)")
         window = 2 * int(p)
+    _check_window(window, s.period)
     rot = _rotations(s)
     longest = 0
     total = 0

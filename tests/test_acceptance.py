@@ -15,10 +15,9 @@ from protoseq.crt import (ExpandedSetSpec, crt0_set, expanded_set,
                           select_expansion_base)
 from protoseq.hexalloc import HexCell, ReusePlan, cell_center, cluster_size
 from protoseq.netsim import (Scenario, TimingModel, User,
-                             adversarial_offset_search, baseline_compare,
-                             check_block_free, delta_p, frame_offset_audit,
-                             run_superframe)
-from protoseq.rscpc import RsCpcParams, pad_set, rs_cpc
+                             adversarial_offset_search, check_block_free,
+                             delta_p, frame_offset_audit, run_superframe)
+from protoseq.rscpc import RsCpcParams, baseline_compare, pad_set, rs_cpc
 from protoseq.sequences import (SequenceSet, cyclic_order, cyclic_shift,
                                 min_separation, xcorr_profile)
 from protoseq.verify import (StackedMatrix, conflict_free_positions, is_ui,

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -84,6 +85,24 @@ class TestGen:
     def test_invalid_construction_params(self):
         assert run("gen", "crt0", "--p", "4", "--q", "8") == 2  # gcd != 1
 
+    def test_missing_key_is_named(self, capsys):
+        assert run("gen", "tdma", "--g", "4") == 2
+        assert ("error: construction 'tdma' is missing required key(s): 'delta'"
+                in capsys.readouterr().err)
+
+    def test_empty_split_and_zero_pad_are_absent(self, tmp_path, capsys):
+        base = tmp_path / "base.json"
+        run("gen", "rs_cpc", "--n", "8", "--p", "17", "--k", "3",
+            "--out", str(base))
+        capsys.readouterr()
+        docs = []
+        for extra in ([], ["--split", "", "--pad", "0"]):
+            assert run("gen", "expanded", "--base", str(base), "--p", "3",
+                       "--m", "3", *extra) == 0
+            doc = json.loads(capsys.readouterr().out)
+            docs.append((doc["meta"], doc["sequences"]))
+        assert docs[0] == docs[1]
+
 
 class TestVerify:
     def test_ui_holds(self, tmp_path):
@@ -130,6 +149,39 @@ class TestVerify:
                    "--samples", "500", "--seed", "7") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 7 and doc["samples"] == 500
+
+    def test_config_missing_key_is_named(self, capsys):
+        assert run("verify", "ui", "--config",
+                   '{"construction":"crt0","p":3}') == 2
+        assert ("error: construction 'crt0' is missing required key(s): 'q'"
+                in capsys.readouterr().err)
+
+    def test_window_outside_period(self, capsys):
+        assert run("verify", "window", "--p", "3", "--window", "0",
+                   "--mode", "random", "--samples", "10", "--seed", "1") == 2
+        assert "window must lie in [1, period], got 0" in capsys.readouterr().err
+
+    def test_unknown_protected_label_is_named(self, capsys):
+        cfg = json.dumps({"construction": "crt0", "p": 3, "q": 5})
+        assert run("verify", "cf-count", "--config", cfg, "--protected",
+                   "g0,nosuch", "--threshold", "1", "--mode", "random",
+                   "--samples", "10", "--seed", "1") == 2
+        assert "'nosuch'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "crt0", "--p", "3", "--q", "5"],
+        ["verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}'],
+    ])
+    def test_output_bytes_ignore_cpu_count(self, argv, tmp_path, monkeypatch):
+        # --jobs defaults to the CPU count only where verify ui runs; the
+        # count must not reach the data file through the config digest
+        outs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"out{cpus}.json"
+            assert run(*argv, "--out", str(out)) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_missing_source(self):
         assert run("verify", "ui") == 2

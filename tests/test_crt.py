@@ -107,6 +107,37 @@ class TestProduct:
         assert u.ones == (0, 1, 2, 3, 4, 5)
 
 
+PRIMES = [f for f in range(2, 998) if all(f % d for d in range(2, f))]
+
+
+def expansion_base_oracle(p, M, k, field_cap):
+    """Slow oracle for select_expansion_base: every (n, field) pair under
+    the cap, minimised by (n * field, field, n)."""
+    spread = p * (2 * p - 1)
+    cands = [(n * f, f, n) for f in PRIMES if f <= field_cap
+             for n in range(1, f + 1)
+             if (f - 1) % n == 0 and n >= (k - 1) * (M - 1) + 1 and k < n <= f
+             and math.gcd(spread, n * f) == 1]
+    if not cands:
+        return None
+    _, f, n = min(cands)
+    return n, f, k
+
+
+class TestSelectExpansionBaseOracle:
+    @pytest.mark.parametrize("field_cap", [997, 60, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_brute_force(self, p, field_cap):
+        for M in (2, 3, 5, 9):
+            for k in (2, 3, 4):
+                want = expansion_base_oracle(p, M, k, field_cap)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        select_expansion_base(p, M, k, field_cap)
+                else:
+                    assert select_expansion_base(p, M, k, field_cap) == want, (M, k)
+
+
 class TestExpandedSet:
     @pytest.fixture(scope="class")
     @staticmethod

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from protoseq.config import sequences_from_config
 from protoseq.crt import crt0_set
 from protoseq.hexalloc import HexCell, ReusePlan, cell_center, quantize
 from protoseq.netsim import (SPEED_OF_LIGHT, ReceptionLog, Scenario,
                              TimingModel, User, adversarial_offset_search,
-                             baseline_compare,
                              check_block_free, delta_p, frame_offset_audit,
-                             run_superframe, sequences_from_config)
-from protoseq.rscpc import pad_set, tdma_set
+                             run_superframe)
+from protoseq.rscpc import baseline_compare, pad_set, tdma_set
 from protoseq.sequences import SequenceSet
 
 
@@ -502,6 +502,14 @@ class TestSequencesFromConfig:
     def test_unknown_construction(self):
         with pytest.raises(ValueError):
             sequences_from_config({"construction": "mystery"})
+
+    def test_missing_key_names_construction_and_key(self):
+        with pytest.raises(ValueError, match=r"'rs_cpc' is missing required key\(s\): 'k'"):
+            sequences_from_config({"construction": "rs_cpc", "n": 5, "p": 11})
+        with pytest.raises(ValueError, match=r"'expanded'.*'base', 'M'"):
+            sequences_from_config({"construction": "expanded", "p": 3})
+        with pytest.raises(ValueError, match="'construction'"):
+            sequences_from_config({"p": 3, "q": 5})
 
 
 # ---------------------------------------------------------------------------

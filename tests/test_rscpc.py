@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from protoseq.rscpc import (ParamSearchError, RsCpcParams, element_of_order,
@@ -143,6 +144,60 @@ class TestParamSearch:
             assert sel.n >= (sel.k - 1) * (sel.M - 1) + 1
             assert (sel.p - 1) % sel.n == 0
             assert 3 <= sel.k < sel.n <= sel.p
+
+
+def _triples(cap):
+    """Every (n * p, p, n, k) with p prime <= cap, n | p - 1 and 3 <= k < n,
+    in ascending order, as four arrays."""
+    return np.array(sorted((n * p, p, n, k) for p in range(2, cap + 1)
+                           if all(p % d for d in range(2, math.isqrt(p) + 1))
+                           for n in range(1, p) if (p - 1) % n == 0
+                           for k in range(3, n))).T.copy()
+
+
+NP, P, N, K = _triples(997)
+PRIMES = np.unique(P).tolist()
+
+
+def search_oracle(M, G, offset, frame_factor, p_cap=997, n_cap=997):
+    """Slow oracle for the frame-length searches: the first admissible
+    triple under the caps in (period, p, n, k) order, scanning all of them."""
+    # p ** (k - offset) >= G exactly, through each prime's least such exponent
+    least = np.zeros(P.max() + 1, dtype=np.int64)
+    for q in PRIMES:
+        least[q] = next(e for e in range(G + 1) if q ** e >= G)
+    ok = ((P >= M) & (P <= p_cap) & (N <= n_cap)
+          & (N >= (K - 1) * (M - 1) + 1) & (K - offset >= least[P]))
+    if not ok.any():
+        return None
+    first = int(np.argmax(ok))
+    return frame_factor * int(NP[first]), int(P[first]), int(N[first]), int(K[first])
+
+
+class TestParamSearchOracle:
+    """The searches stop at the first p whose smallest period cannot win;
+    the oracle scans every prime up to the cap."""
+
+    @pytest.mark.parametrize("caps", [(997, 997), (23, 997), (997, 8), (5, 997)])
+    @pytest.mark.parametrize("M", [2, 3, 5, 8, 13])
+    def test_matches_brute_force(self, M, caps):
+        p_cap, n_cap = caps
+        for G in (1, 7, 49, 5000):
+            for scheme, delta, offset, factor in (
+                    [("prop1", d, 0, d + 1) for d in (0, 1, 3)]
+                    + [("prop2", 0, 2, 2)]):
+                want = search_oracle(M, G, offset, factor, p_cap, n_cap)
+                if scheme == "prop1":
+                    run = lambda: select_params_prop1(M, G, delta, p_cap, n_cap)
+                else:
+                    run = lambda: select_params_prop2(M, G, p_cap, n_cap)
+                if want is None:
+                    with pytest.raises(ParamSearchError):
+                        run()
+                    continue
+                sel = run()
+                assert (sel.period, sel.p, sel.n, sel.k) == want, (scheme, M, G, delta)
+                assert (sel.scheme, sel.M, sel.G, sel.delta) == (scheme, M, G, delta)
 
 
 class TestLengthBounds:

@@ -227,6 +227,13 @@ class TestWindowAudit:
         with pytest.raises(ValueError):
             window_audit(s)
 
+    def test_window_outside_period(self):
+        s = crt0_set(3, 5)
+        for window in (0, -1, 16):
+            with pytest.raises(ValueError, match=r"window must lie in \[1, period\]"):
+                window_audit(s, window=window, mode="random", samples=10, seed=1)
+        assert window_audit(s, window=15).holds
+
 
 class TestExpandedAudits:
     @pytest.fixture(scope="class")
