@@ -97,8 +97,14 @@ def product(x: BinarySequence, y: BinarySequence) -> BinarySequence:
     px, py = x.period, y.period
     if math.gcd(px, py) != 1:
         raise ValueError(f"factor periods must be coprime, got ({px}, {py})")
-    ones = sorted(crt_unmap((a, b), px, py) for a in x.ones for b in y.ones)
-    return BinarySequence(px * py, tuple(ones))
+    # crt_unmap over every pair at once: l = a*ey + b*ex mod px*py, where ey
+    # is 1 mod px and 0 mod py, and ex the other way round
+    n = px * py
+    ey, ex = py * pow(py, -1, px) % n, px * pow(px, -1, py) % n
+    a = np.asarray(x.ones, dtype=np.int64)
+    b = np.asarray(y.ones, dtype=np.int64)
+    ones = np.sort(((a[:, None] * ey + b[None, :] * ex) % n).ravel())
+    return BinarySequence(n, tuple(ones.tolist()))
 
 
 @dataclass

@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
+# the keys a scenario config must give (Scenario.from_config)
+_REQUIRED_KEYS = ("sequences", "tau_s", "R_m", "L", "F", "delta_c_slots", "M", "h_m",
+                  "users")
 
 
 def delta_p(R_m: float, tau_s: float) -> int:
@@ -278,6 +281,10 @@ class Scenario:
 
     @classmethod
     def from_config(cls, cfg: dict, base_dir: str = ".") -> "Scenario":
+        missing = [key for key in _REQUIRED_KEYS if cfg.get(key) is None]
+        if missing:
+            raise ValueError("scenario config is missing required key(s): "
+                             + ", ".join(repr(key) for key in missing))
         seq = sequences_from_config(cfg["sequences"], base_dir)
         slot_sync = bool(cfg.get("slot_synchronized", False))
         tau = float(cfg["tau_s"])

@@ -6,6 +6,8 @@ A sequence of period n is stored by its characteristic set: the sorted
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -69,7 +71,9 @@ class BinarySequence:
         return out
 
     def __getitem__(self, i: int) -> int:
-        return 1 if i % self.period in set(self.ones) else 0
+        i %= self.period
+        j = bisect.bisect_left(self.ones, i)
+        return int(j < len(self.ones) and self.ones[j] == i)
 
     def shift(self, t: int) -> "BinarySequence":
         return cyclic_shift(self, t)
@@ -135,16 +139,26 @@ def pairwise_xcorr_peaks(seqs: Sequence[BinarySequence]) -> tuple[np.ndarray, ..
     if len({x.period for x in seqs}) > 1:
         raise ValueError("sequences must share a period")
     k = len(seqs)
-    ones = [np.asarray(x.ones, dtype=np.int64) for x in seqs]
-    parts = [np.zeros((4, 0), dtype=np.int64)]
+    if k < 2:
+        return tuple(np.zeros((4, 0), dtype=np.int64))
+    n = seqs[0].period
+    sizes = [x.weight for x in seqs]
+    flat = np.fromiter(itertools.chain.from_iterable(x.ones for x in seqs),
+                       dtype=np.int64, count=sum(sizes))
+    bounds = np.cumsum([0, *sizes])
+    # a - b + n lies in [1, 2n), so one bincount with two bins of n per later
+    # member, folded, counts (a - b) mod n without a modulo: entry b of member
+    # m is keyed by b - n(2m + 1), and a of member i by a - 2n(i + 1)
+    key = flat - n * (2 * np.repeat(np.arange(k), sizes) + 1)
+    parts = []
     for i in range(k - 1):
-        n = seqs[i].period
-        later = np.concatenate(ones[i + 1:])
-        member = np.repeat(np.arange(k - i - 1), [o.size for o in ones[i + 1:]])
-        diffs = (ones[i][:, None] - later[None, :]) % n + n * member
-        prof = np.bincount(diffs.ravel(), minlength=n * (k - i - 1)).reshape(-1, n)
+        diffs = (flat[bounds[i]:bounds[i + 1], None] - 2 * n * (i + 1)) - key[bounds[i + 1]:]
+        prof = np.bincount(diffs.ravel(), minlength=2 * n * (k - i - 1))
+        prof = prof.reshape(-1, 2, n).sum(axis=1)
+        shift = prof.argmax(axis=1)
         parts.append(np.stack([np.full(k - i - 1, i), np.arange(i + 1, k),
-                               prof.max(axis=1), prof.argmax(axis=1)]))
+                               np.take_along_axis(prof, shift[:, None], axis=1)[:, 0],
+                               shift]))
     return tuple(np.concatenate(parts, axis=1))
 
 

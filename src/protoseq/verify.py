@@ -11,10 +11,10 @@ on failure.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .sequences import (SequenceSet, json_text, min_separation,
                         pairwise_xcorr_peaks)
@@ -117,33 +117,34 @@ def _check_cap(n: int, k: int, cap: int) -> int:
 def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
                         seed: int | None = None, cap: int = DEFAULT_STATE_CAP,
                         lo: int = 0, hi: int | None = None):
-    """Yield (start_index, shifts) blocks of at most _BATCH assignments.
+    """Yield (start_index, prefix, last) blocks of about _BATCH assignments.
 
     Exhaustive mode counts in lexicographic order with mixed-radix digits,
-    the first shift pinned to 0 and the second in [lo, hi).  Its blocks share
-    one buffer (fresh ones made glibc trim and re-fault the heap per block),
-    so each is valid until the next is drawn.  Random mode draws seeded ones.
+    the first shift pinned to 0 and the second in [lo, hi).  A block holds
+    the shifts of members 0..k-2 once per prefix row and the range `last` of
+    the last member's shifts, whose digit runs fastest: assignment j of the
+    block is (*prefix[j // len(last)], last[j % len(last)]).  Random mode
+    draws seeded assignments, one per row of `prefix`, with `last` None.
     """
     if mode == "exhaustive":
         _check_cap(n, k, cap)
-        radix = [(n if hi is None else hi) - lo, *[n] * (k - 2)][:k - 1]
-        total = math.prod(radix)
-        cols = np.zeros((k, _BATCH), dtype=np.int64)
-        for start in range(0, total, _BATCH):
-            b = min(_BATCH, total - start)
-            idx = np.arange(start, start + b)
-            for col in range(k - 1, 0, -1):
-                q = idx // radix[col - 1]
-                np.subtract(idx, q * radix[col - 1], out=cols[col, :b])
-                idx = q
-            cols[1:2, :b] += lo
-            yield start, cols[:, :b].T
+        digits = [range(1), range(lo, n if hi is None else hi), *[range(n)] * (k - 2)][:k]
+        last = digits.pop()
+        prefixes = math.prod(map(len, digits))
+        step = max(1, _BATCH // len(last))
+        for first in range(0, prefixes, step):
+            idx = np.arange(first, min(first + step, prefixes))
+            prefix = np.empty((idx.size, k - 1), dtype=np.int64)
+            for col in range(k - 2, -1, -1):
+                idx, prefix[:, col] = np.divmod(idx, len(digits[col]))
+                prefix[:, col] += digits[col].start
+            yield first * len(last), prefix, last
     elif mode == "random":
         rng = np.random.default_rng(seed)
         done = 0
         while done < samples:
             b = min(_BATCH, samples - done)
-            yield done, rng.integers(0, n, size=(b, k))
+            yield done, rng.integers(0, n, size=(b, k)), None
             done += b
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
@@ -153,38 +154,178 @@ def _rotations(s: SequenceSet) -> np.ndarray:
     """Table [word, member, shift] of every member at every shift.
 
     Column j of the period is bit j % 64 of word j // 64, so the table takes
-    k * period * ceil(period / 64) * 8 bytes.
+    k * period * ceil(period / 64) * 8 bytes.  Column j of a member at shift
+    t is column n - t + j of the member written out twice, so every word of
+    the table is one of the 64-bit windows of that doubled row.
     """
     n = s.period
     words = -(-n // 64)
     out = np.empty((words, len(s), n), dtype=np.uint64)
-    t = np.arange(n)[:, None]
+    start = n - np.arange(n) + 64 * np.arange(words)[:, None]  # [word, shift]
     for i, seq in enumerate(s.sequences):
-        bits = np.zeros((n, 64 * words), dtype=bool)
-        bits[t, (np.asarray(seq.ones, dtype=np.int64) + t) % n] = True
-        out[:, i] = np.packbits(bits, axis=1, bitorder="little").view(np.uint64).T
+        twice = np.zeros(2 * n + 64 * words, dtype=bool)
+        ones = np.asarray(seq.ones, dtype=np.int64)
+        twice[ones] = twice[ones + n] = True
+        windows = np.packbits(sliding_window_view(twice, 64), axis=1, bitorder="little")
+        out[:, i] = windows.view(np.uint64)[start, 0]
+    out[-1] &= ~np.uint64(0) >> np.uint64(64 * words - n)  # clear columns >= n
     return out
 
 
-def _stack(rot: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack every member at its shift, one assignment per row of `shifts`.
+def _buffer(pool: dict, name: str, shape: tuple) -> np.ndarray:
+    """A uint64 array of `shape` that `pool` keeps for the next block.
+
+    Fresh arrays per block made glibc trim and re-fault the heap each time.
+    """
+    buf = pool.get(name)
+    if buf is None or buf.shape != shape:
+        buf = pool[name] = np.empty(shape, dtype=np.uint64)
+    return buf
+
+
+def _stack(rot: np.ndarray, prefix: np.ndarray, last: range | None = None,
+           members=None, pool: dict | None = None) -> np.ndarray:
+    """Stack every member at its shift, for one block of assignments.
 
     `occ` collects the columns holding at least one 1 and `dup` those holding
-    two or more.  Returns the conflict-free bits [word, member, assignment]
-    (a member's 1s in columns no other member touches) and the occupied bits
-    [word, assignment].  Shifts lie in [0, period), so mode="clip" changes no
-    index; it only lets `take` write into `rows` without a buffer.
+    two or more; a member's conflict-free bits are its 1s outside `dup`.
+    The members of each `prefix` row are gathered and stacked one by one.
+    An exhaustive block then joins the last member's rotation row `r` over
+    `last` to every prefix row.  The join needs no second pass over the
+    members: a prefix member keeps its conflict-free bits outside r, and
+    the last member keeps the bits of r outside occ.
+
+    Returns the conflict-free bits [word, member, assignment] of `members`
+    (a slice or a list of member indices), or the occupied bits [word,
+    assignment] when `members` is None, in a buffer of `pool` that the next
+    call with it overwrites.  A joined block lists its assignments
+    shift-major, the prefix rows running fastest; `_ranges` puts their
+    values back in index order.  A pool serves the blocks of one scan, which
+    share `rot` and `last`.  Shifts lie in [0, period), so mode="clip"
+    changes no index; it only lets `take` write into `rows` without a buffer.
     """
+    pool = {} if pool is None else pool
     words, k, _ = rot.shape
-    rows = np.empty((words, k, shifts.shape[0]), dtype=np.uint64)
-    occ = np.zeros((words, shifts.shape[0]), dtype=np.uint64)
-    dup = np.zeros_like(occ)
-    for i in range(k):
-        rot[:, i].take(shifts[:, i], axis=1, out=rows[:, i], mode="clip")
-        dup |= occ & rows[:, i]
-        occ |= rows[:, i]
-    rows &= ~dup[:, None]
-    return rows, occ
+    b, g = prefix.shape
+    picked = [] if members is None else np.arange(k)[members].tolist()
+    slot = {i: j for j, i in enumerate(dict.fromkeys(picked))}
+    rows = _buffer(pool, "rows", (words, len(slot), b))
+    spare = _buffer(pool, "spare", (words, b))  # for members not picked
+    occ = _buffer(pool, "occ", (words, b))
+    dup = _buffer(pool, "dup", (words, b))
+    occ.fill(0)
+    dup.fill(0)
+    both = _buffer(pool, "both", (words, b))  # occ & row, without a fresh array
+    for i in range(g):
+        row = rows[:, slot[i]] if i in slot else spare
+        rot[:, i].take(prefix[:, i], axis=1, out=row, mode="clip")
+        if members is not None:
+            np.bitwise_and(occ, row, out=both)
+            dup |= both
+        occ |= row
+    if members is not None:
+        rows &= np.invert(dup, out=dup)[:, None]  # dup now holds the free columns
+    if last is None:
+        if members is None:
+            return occ
+        return rows if len(slot) == len(picked) else rows[:, [slot[i] for i in picked]]
+    # the last member's row and its complement, repeated along the prefix
+    # rows so that every join runs over contiguous rows
+    w = len(last)
+    tiles = pool.get("tiles")
+    if tiles is None or tiles.shape[-1] < b:
+        r = rot[:, k - 1, last.start:last.stop, None]  # [word, shift, 1]
+        tiles = pool["tiles"] = np.repeat(np.stack([r, ~r]), b, axis=-1)
+    r, not_r = tiles[0, ..., :b], tiles[1, ..., :b]  # [word, shift, prefix]
+    if members is None:
+        out = _buffer(pool, "joined", (words, w, b))
+        np.bitwise_or(occ[:, None], r, out=out)
+        return out.reshape(words, -1)
+    out = _buffer(pool, "cf", (words, len(picked), w, b))
+    for j, i in enumerate(picked):
+        if i < g:
+            np.bitwise_and(rows[:, slot[i], None], not_r, out=out[:, j])
+        else:
+            np.bitwise_and(~occ[:, None], r, out=out[:, j])
+    return out.reshape(words, len(picked), -1)
+
+
+def _ranges(rot: np.ndarray, blocks, value, members):
+    """One value per assignment, regrouped into the index ranges of _BATCH.
+
+    `value` maps the bits `_stack` returns for a block, the conflict-free
+    bits of `members` or the occupied bits, to one number per assignment.
+    Yields (start, values, held, complete) for the range [m * _BATCH,
+    (m + 1) * _BATCH) in index order, however the blocks cut it: once
+    complete, and after each block that leaves it incomplete with the values
+    so far.  `held` are the blocks its assignments came from, and `values`
+    is a buffer that the next yield overwrites.
+    """
+    buf = np.empty(_BATCH, dtype=np.int64)
+    fill = start = 0
+    held = []
+    pool = {}
+    for block in blocks:
+        vals = value(_stack(rot, *block[1:], members, pool))
+        if block[2] is not None:  # shift-major, see _stack
+            vals = vals.reshape(len(block[2]), -1).T.ravel()
+        held.append(block)
+        pos = 0
+        while pos < vals.size:
+            take = min(vals.size - pos, _BATCH - fill)
+            buf[fill:fill + take] = vals[pos:pos + take]
+            fill += take
+            pos += take
+            if fill == _BATCH:
+                yield start, buf, held, True
+                start += _BATCH
+                fill = 0
+                held = [b for b in held if b[0] + len(b[1]) * _width(b[2]) > start]
+        if fill:
+            yield start, buf[:fill], held, False
+    if fill:
+        yield start, buf[:fill], held, True
+
+
+def _width(last: range | None) -> int:
+    """Assignments per prefix row of a block."""
+    return 1 if last is None else len(last)
+
+
+def _shifts_at(held, index: int) -> list[int]:
+    """The shift assignment at `index`, from the blocks that hold it."""
+    for start, prefix, last in held:
+        row, j = divmod(index - start, _width(last))
+        if row < len(prefix):
+            return prefix[row].tolist() + ([] if last is None else [last[j]])
+    raise AssertionError("unreachable: the held blocks cover the range")
+
+
+def _scan(rot: np.ndarray, blocks, value, extreme, crossed, members, peak: int):
+    """First assignment reaching the extreme of the first range crossing a limit.
+
+    The ranges are those of `_ranges`, and a range crosses when its extreme
+    (np.min or np.max of its values) is `crossed`.  `peak` is the most
+    extreme value there is, so a range that reaches it is decided before it
+    is complete.  Returns (index, shifts, extreme, scanned) for that
+    assignment, or (None, None, the extreme over all ranges, scanned) when
+    none crosses; the extreme is None when nothing was scanned.
+    """
+    best = None
+    scanned = 0
+    for start, vals, held, complete in _ranges(rot, blocks, value, members):
+        if complete:
+            ext = int(extreme(vals))
+            best = ext if best is None else int(extreme((best, ext)))
+            scanned = start + vals.size
+        elif peak in vals:
+            ext = peak
+        else:
+            continue
+        if crossed(ext):
+            index = start + int(np.flatnonzero(vals == ext)[0])
+            return index, _shifts_at(held, index), ext, index + 1
+    return None, None, best, scanned
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -195,7 +336,8 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
 
 def _cf_counts(cf: np.ndarray) -> np.ndarray:
     """Conflict-free-1 counts per (member, assignment)."""
-    return np.bitwise_count(cf).sum(axis=0, dtype=np.int32)
+    counts = np.bitwise_count(cf)
+    return counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.int32)
 
 
 def _cf_gaps(cf: np.ndarray, n: int) -> np.ndarray:
@@ -204,27 +346,67 @@ def _cf_gaps(cf: np.ndarray, n: int) -> np.ndarray:
     The gap after a conflict-free 1 is one more than the run of other columns
     that follows it; members with fewer than two get gap = period.
     """
-    return np.stack([np.minimum(_max_circular_run(_unpack(~cf[:, i], n)) + 1, n)
+    return np.stack([np.minimum(_edge_runs(np.flatnonzero(_unpack(cf[:, i], n)),
+                                           cf.shape[2], n) + 1, n)
                      for i in range(cf.shape[1])])
 
 
 def _max_circular_run(bits: np.ndarray) -> np.ndarray:
-    """Max circular run length of True per row of a boolean matrix.
+    """Max circular run length of True per row of a boolean matrix."""
+    return _edge_runs(np.flatnonzero(~bits), *bits.shape)
 
-    Runs are read off their edges, the False bits: the run after each False
-    bit ends at the next one of its row, the last wrapping round to the
-    first.  A row with no False bit is one run of its full length.
+
+def _edge_runs(edges: np.ndarray, b: int, n: int) -> np.ndarray:
+    """Max circular run between edges per row of a (b, n) matrix.
+
+    `edges` are the ascending flat indices of the edge bits.  The run after
+    each edge ends at the next edge of its row, the last wrapping round to
+    the first; a row with no edge is one run of its full length.
     """
-    b, n = bits.shape
-    row, col = np.divmod(np.flatnonzero(~bits), n)
+    row, col = np.divmod(edges, n)
     out = np.full(b, n, dtype=np.int64)
     if row.size:
         first = np.flatnonzero(np.diff(row, prepend=-1))
         last = np.append(first[1:], row.size) - 1
-        after = np.empty_like(col)  # column of the next False bit round the circle
+        after = np.empty_like(col)  # column of the next edge round the circle
         after[:-1] = col[1:]
         after[last] = col[first] + n
         out[row[first]] = np.maximum.reduceat(after - col - 1, first)
+    return out
+
+
+def _max_packed_run(words: np.ndarray, n: int) -> np.ndarray:
+    """Max circular run of set bits per assignment of packed [word, assignment] rows.
+
+    Bits at and past column n must be clear.  Each step ANDs every row with
+    itself moved down one column round the period, so a bit survives t
+    steps where a run of t + 1 starts; a row's run is the number of steps
+    it stays non-zero, at most n.  The steps stop when every row is empty,
+    and rows are dropped once three quarters of them are, so the work
+    follows the runs, not the period.
+    """
+    top = (n - 1) % 64
+    out = np.zeros(words.shape[1], dtype=np.int64)
+    live = np.arange(words.shape[1])  # the rows of `out` that `y` holds
+    run = np.zeros_like(out)
+    y = words.copy()
+    down = np.empty_like(y)
+    for _ in range(n):
+        nz = y.any(axis=0)
+        left = np.count_nonzero(nz)
+        if not left:
+            break
+        run += nz
+        if 4 * left <= nz.size:
+            out[live] = run
+            live, run, y = live[nz], run[nz], y[:, nz]
+            down = np.empty_like(y)
+        np.right_shift(y, 1, out=down)
+        if len(y) > 1:
+            down[:-1] |= y[1:] << 63
+        down[-1] |= (y[0] & 1) << top
+        y &= down
+    out[live] = run
     return out
 
 
@@ -237,19 +419,15 @@ def _chunk_ranges(n: int, jobs: int) -> list[tuple[int, int]]:
 def _scan_ui(args: tuple) -> tuple[int | None, list[int] | None, int | None]:
     """First assignment leaving some member without a conflict-free 1.
 
-    Returns (index, shifts, None) for it, or (None, None, least) with the
+    Returns (index, shifts, 0) for it, or (None, None, least) with the
     least conflict-free count seen when every assignment passes.
     """
     rot, mode, samples, seed, cap, lo, hi = args
     _, k, n = rot.shape
-    least = []
-    for start, shifts in _assignment_batches(n, k, mode, samples, seed, cap, lo, hi):
-        worst = _cf_counts(_stack(rot, shifts)[0]).min(axis=0)
-        bad = np.flatnonzero(worst == 0)
-        if bad.size:
-            return start + int(bad[0]), [int(t) for t in shifts[bad[0]]], None
-        least.append(int(worst.min()))
-    return None, None, min(least, default=None)
+    index, shifts, least, _ = _scan(
+        rot, _assignment_batches(n, k, mode, samples, seed, cap, lo, hi),
+        lambda cf: _cf_counts(cf).min(axis=0), np.min, lambda m: m < 1, slice(None), 0)
+    return index, shifts, least
 
 
 def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
@@ -281,6 +459,8 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
         if len(args) == 1:
             found = [_scan_ui(args[0])]
         else:
+            # imported here: the pool's import costs every CLI command ~20 ms
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=len(args)) as pool:
                 found = list(pool.map(_scan_ui, args))
         # chunks are in ascending second-shift order
@@ -329,25 +509,17 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
         raise ValueError("threshold required (no cf_floor in meta)")
     idx = _protected_indices(s, protected_labels)
     rot = _rotations(s)
-    best = None
-    total = 0
-    for start, shifts in _assignment_batches(s.period, len(s), mode, samples, seed, state_cap):
-        counts = _cf_counts(_stack(rot, shifts)[0][:, idx])
-        worst = counts.min(axis=0)
-        bmin = int(worst.min())
-        total = start + shifts.shape[0]
-        if best is None or bmin < best:
-            best = bmin
-        if bmin < threshold:
-            first = int(np.nonzero(worst == bmin)[0][0])
-            row = idx[int(np.argmin(counts[:, first]))]
-            ce = {"shifts": [int(t) for t in shifts[first]],
-                  "row": s.labels[row], "count": bmin}
-            return VerifyReport("conflict_free_count", mode, start + first + 1, seed,
-                                "violated", ce,
-                                {"min_count": bmin, "threshold": threshold})
-    return VerifyReport("conflict_free_count", mode, total, seed, "holds", None,
-                        {"min_count": best, "threshold": threshold})
+    index, ce, low, scanned = _scan(
+        rot, _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
+        lambda cf: _cf_counts(cf).min(axis=0), np.min, lambda m: m < threshold, idx, 0)
+    stats = {"min_count": low, "threshold": threshold}
+    if ce is None:
+        return VerifyReport("conflict_free_count", mode, scanned, seed, "holds", None,
+                            stats)
+    counts = _cf_counts(_stack(rot, np.array([ce]), members=idx))[:, 0]
+    return VerifyReport("conflict_free_count", mode, scanned, seed, "violated",
+                        {"shifts": ce, "row": s.labels[idx[int(np.argmin(counts))]],
+                         "count": low}, stats)
 
 
 def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
@@ -364,23 +536,17 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
         raise ValueError("bound required (no cf_gap_bound in meta)")
     idx = _protected_indices(s, protected_labels)
     rot = _rotations(s)
-    worst_gap = 0
-    total = 0
-    for start, shifts in _assignment_batches(s.period, len(s), mode, samples, seed, state_cap):
-        gaps = _cf_gaps(_stack(rot, shifts)[0][:, idx], s.period)
-        bworst = gaps.max(axis=0)
-        bmax = int(bworst.max())
-        total = start + shifts.shape[0]
-        worst_gap = max(worst_gap, bmax)
-        if bmax > bound:
-            first = int(np.nonzero(bworst == bmax)[0][0])
-            row = idx[int(np.argmax(gaps[:, first]))]
-            ce = {"shifts": [int(t) for t in shifts[first]],
-                  "row": s.labels[row], "gap": bmax}
-            return VerifyReport("conflict_free_gap", mode, start + first + 1, seed,
-                                "violated", ce, {"max_gap": bmax, "bound": bound})
-    return VerifyReport("conflict_free_gap", mode, total, seed, "holds", None,
-                        {"max_gap": worst_gap, "bound": bound})
+    n = s.period
+    index, ce, high, scanned = _scan(
+        rot, _assignment_batches(n, len(s), mode, samples, seed, state_cap),
+        lambda cf: _cf_gaps(cf, n).max(axis=0), np.max, lambda m: m > bound, idx, n)
+    stats = {"max_gap": high or 0, "bound": bound}
+    if ce is None:
+        return VerifyReport("conflict_free_gap", mode, scanned, seed, "holds", None, stats)
+    gaps = _cf_gaps(_stack(rot, np.array([ce]), members=idx), n)[:, 0]
+    return VerifyReport("conflict_free_gap", mode, scanned, seed, "violated",
+                        {"shifts": ce, "row": s.labels[idx[int(np.argmax(gaps))]],
+                         "gap": high}, stats)
 
 
 def _check_window(window: int, period: int) -> None:
@@ -409,23 +575,15 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
             raise ValueError("window required (no p in meta)")
         window = 2 * int(p)
     _check_window(window, s.period)
-    rot = _rotations(s)
-    longest = 0
-    total = 0
-    for start, shifts in _assignment_batches(s.period, len(s), mode, samples, seed, state_cap):
-        runs = _max_circular_run(_unpack(_stack(rot, shifts)[1], s.period))
-        bmax = int(runs.max())
-        total = start + runs.size
-        longest = max(longest, bmax)
-        if bmax > window - 1:
-            first = int(np.nonzero(runs == bmax)[0][0])
-            ce = {"shifts": [int(t) for t in shifts[first]],
-                  "occupied_run": bmax, "window": window}
-            return VerifyReport("zero_column_window", mode, start + first + 1, seed,
-                                "violated", ce,
-                                {"max_occupied_run": bmax, "window": window})
-    return VerifyReport("zero_column_window", mode, total, seed, "holds", None,
-                        {"max_occupied_run": longest, "window": window})
+    index, ce, longest, scanned = _scan(
+        _rotations(s), _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
+        lambda occ: _max_packed_run(occ, s.period), np.max,
+        lambda m: m > window - 1, None, s.period)
+    stats = {"max_occupied_run": longest or 0, "window": window}
+    if ce is None:
+        return VerifyReport("zero_column_window", mode, scanned, seed, "holds", None, stats)
+    return VerifyReport("zero_column_window", mode, scanned, seed, "violated",
+                        {"shifts": ce, "occupied_run": longest, "window": window}, stats)
 
 
 def xcorr_bound_audit(s: SequenceSet, bound: int) -> VerifyReport:

@@ -85,6 +85,17 @@ def test_criterion_04_zero_column_window():
     report(4, ok, "; ".join(details))
 
 
+def test_criterion_04_exhaustive_crt0_5_9():
+    # the whole shift space of crt0(5,9), first shift pinned, at the
+    # default window 2p = 10
+    r = window_audit(crt0_set(5, 9), mode="exhaustive")
+    ok = (r.holds and r.samples == 45 ** 4
+          and r.stats == {"max_occupied_run": 6, "window": 10})
+    report(4, ok, f"crt0(5,9) exhaustive {r.samples}: {r.verdict} "
+                  f"(longest occupied run {r.stats['max_occupied_run']} "
+                  f"< window {r.stats['window']})")
+
+
 def test_criterion_05_expanded_family_floor_and_gap():
     n, field, k = select_expansion_base(3, 3)
     base = rs_cpc(RsCpcParams(n=n, p=field, k=k))

@@ -282,6 +282,19 @@ class TestSim:
         path.write_text("{not json")
         assert run("sim", "--config", str(path)) == 2
 
+    def test_missing_key_is_named(self, tmp_path, capsys):
+        cfg = {
+            "tau_s": 1e-3, "L": 2, "F": 3, "delta_c_slots": 0,
+            "h_m": 1.0, "M": 2, "slot_synchronized": True,
+            "sequences": {"construction": "tdma", "G": 2, "delta": 0},
+            "users": [{"id": "a", "x": 0, "y": 0, "label": "t0"}],
+        }
+        path = tmp_path / "no_radius.json"
+        path.write_text(json.dumps(cfg))
+        assert run("sim", "--config", str(path)) == 2
+        assert ("error: scenario config is missing required key(s): 'R_m'"
+                in capsys.readouterr().err)
+
 
 class TestCompare:
     def test_json_table(self, capsys):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from protoseq.crt import (ExpandedSetSpec, all_ones, crt0_set, crt_set,
                           expanded_set, product, select_expansion_base)
 from protoseq.rscpc import RsCpcParams, rs_cpc
-from protoseq.sequences import (BinarySequence, cyclic_shift, hamming_xcorr,
-                                xcorr_profile)
+from protoseq.sequences import (BinarySequence, crt_unmap, cyclic_shift,
+                                hamming_xcorr, xcorr_profile)
 
 
 class TestCrtSet:
@@ -101,6 +101,16 @@ class TestProduct:
         lhs = cyclic_shift(product(x, y), t)
         rhs = product(cyclic_shift(x, t % 3), cyclic_shift(y, t % 5))
         assert lhs == rhs
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(st.integers(1, 60), st.integers(1, 60))
+           .filter(lambda pq: math.gcd(*pq) == 1), st.data())
+    def test_matches_crt_unmap_of_every_pair(self, periods, data):
+        px, py = periods
+        x, y = (BinarySequence(m, tuple(sorted(data.draw(st.sets(st.integers(0, m - 1))))))
+                for m in periods)
+        ones = sorted(crt_unmap((a, b), px, py) for a in x.ones for b in y.ones)
+        assert product(x, y) == BinarySequence(px * py, tuple(ones))
 
     def test_all_ones(self):
         u = all_ones(6)

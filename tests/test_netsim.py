@@ -417,6 +417,16 @@ class TestConfigLoading:
         assert sc.plan.G == 7
         assert sc.resolved_labels[0] != sc.resolved_labels[1]
 
+    def test_missing_keys_are_named(self):
+        cfg = {
+            "L": 2, "F": 3, "delta_c_slots": 0, "R_m": 100.0, "h_m": 1.0,
+            "M": 2, "sequences": {"construction": "tdma", "G": 2, "delta": 0},
+            "users": None,
+        }
+        with pytest.raises(ValueError, match=r"scenario config is missing "
+                           r"required key\(s\): 'tau_s', 'users'$"):
+            Scenario.from_config(cfg)
+
     def test_area_too_small_for_random_users(self):
         cfg = {"random_users": 100, "area": [0, 0, 3, 3], "seed": 1}
         from protoseq.netsim import _random_users

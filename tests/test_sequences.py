@@ -30,6 +30,12 @@ class TestBinarySequence:
         assert x[3] == 1 and x[4] == 0
         assert x[8] == 1  # periodic indexing
 
+    @given(sequences())
+    def test_getitem_matches_bits(self, x):
+        bits = x.bits().tolist()
+        n = x.period
+        assert [x[i] for i in range(-n, 2 * n)] == bits * 3
+
     def test_validation(self):
         with pytest.raises(ValueError):
             seq(0, [])

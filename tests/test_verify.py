@@ -10,7 +10,8 @@ from protoseq.crt import (ExpandedSetSpec, crt0_set, crt_set, expanded_set,
 from protoseq.rscpc import RsCpcParams, rs_cpc
 from protoseq.sequences import BinarySequence, SequenceSet
 from protoseq.verify import (_BATCH, StackedMatrix, StateCapExceeded,
-                             VerifyReport, _max_circular_run,
+                             VerifyReport, _max_circular_run, _max_packed_run,
+                             _rotations,
                              conflict_free_positions,
                              is_ui, max_conflict_free_gap,
                              min_conflict_free_count, separation_audit,
@@ -202,6 +203,17 @@ class TestZeroColumnWindow:
         expected = min(best, n)
         got = int(_max_circular_run(np.asarray([bits], dtype=bool))[0])
         assert got == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 130).flatmap(lambda n: st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=12)))
+    def test_max_packed_run_matches_unpacked(self, rows):
+        bits = np.asarray(rows, dtype=bool)
+        n = bits.shape[1]
+        padded = np.pad(bits, ((0, 0), (0, -n % 64)))
+        words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64).T
+        got = _max_packed_run(np.ascontiguousarray(words), n)
+        assert got.tolist() == _max_circular_run(bits).tolist()
 
 
 class TestWindowAudit:
@@ -540,3 +552,76 @@ class TestLaterBlockViolations:
             "seed": None, "verdict": "violated",
             "counterexample": {"shifts": [0, 100, 151], "row": "a", "gap": 200},
             "stats": {"max_gap": 200, "bound": 198}}
+
+
+class TestRotationTable:
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(word_edge_families(exhaustive=False))
+    def test_matches_shifted_members(self, case):
+        s = case[0]
+        n = s.period
+        table = _rotations(s)  # [word, member, shift]
+        bits = np.unpackbits(np.ascontiguousarray(table.transpose(1, 2, 0)).view(np.uint8),
+                             axis=-1, bitorder="little")
+        want = np.zeros_like(bits)
+        for i, seq in enumerate(s.sequences):
+            for t in range(n):
+                want[i, t, [(x + t) % n for x in seq.ones]] = 1
+        assert (bits == want).all()
+
+
+class TestPrefixBlocks:
+    """Exhaustive scans computed in prefix blocks, against the dense oracle.
+
+    A prefix block stacks members 0..k-2 once per prefix row and joins every
+    shift of the last member by broadcast; the reports must not depend on
+    how those blocks cut the index space.
+    """
+
+    def test_violations_mid_row(self):
+        s = SequenceSet((BinarySequence(24, (7, 21, 22)), BinarySequence(24, (10, 12)),
+                         BinarySequence(24, (5, 13, 21))), ("a", "b", "c"))
+        args = ("exhaustive", 0, None, ["a"])
+        limits = dict(threshold=2, bound=15, window=5)
+        got = engine_reports(s, *args, **limits)
+        assert got == oracle_reports(s, *args, **limits)
+        assert [got[a]["counterexample"]["shifts"] for a in ("ui", "count", "window")] == \
+            [[0, 9, 6], [0, 9, 1], [0, 8, 6]]
+
+    def test_batch_boundary_inside_a_prefix_row(self):
+        # At period 130 a block holds 126 prefix rows, so the first _BATCH
+        # range ends 4 shifts into prefix row 126, which b completes: there
+        # b keeps only 4 conflict-free 1s, with a gap of 121, and the
+        # occupied run 70..81 is 12 long.  The first block alone already
+        # crosses every limit (its extremes: count 5, gap 98, run 10), and c
+        # deepens each extreme further along row 126, past the boundary
+        # (count 3, gap 124, run 13).  The reports must name the extreme of
+        # the first range, at (0, 126, 0).
+        s = SequenceSet((
+            BinarySequence(130, (0, 1, 4, 9, 15, 22, 32, 34,
+                                 70, 72, 73, 75, 76, 77, 78, 81)),
+            BinarySequence(130, (4, 5, 8, 19, 36, 38, 75, 78, 83, 84)),
+            BinarySequence(130, (0,))), ("a", "b", "c"))
+        args = ("exhaustive", 0, None, ["b"])
+        limits = dict(threshold=6, bound=97, window=10)
+        got = engine_reports(s, *args, **limits)
+        assert got == oracle_reports(s, *args, **limits)
+        assert [(got[a]["samples"], got[a]["counterexample"]["shifts"])
+                for a in ("count", "gap", "window")] == [(_BATCH - 3, [0, 126, 0])] * 3
+        assert (got["count"]["stats"]["min_count"], got["gap"]["stats"]["max_gap"],
+                got["window"]["stats"]["max_occupied_run"]) == (4, 121, 12)
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_word_edges_split_over_two_jobs(self, n, k):
+        # a's one is first covered by b at shift 35, in the second job's half
+        members = [(40,), (0, 3, 5), (1, 2, 7, 20, n - 1)][:k]
+        s = SequenceSet(tuple(BinarySequence(n, m) for m in members),
+                        ("a", "b", "c")[:k])
+        args = ("exhaustive", 0, None, ["a"])
+        limits = dict(threshold=1, bound=n // 2, window=6)
+        want = oracle_reports(s, *args, **limits)
+        if k == 2:
+            assert want["ui"]["counterexample"] == {"shifts": [0, 35]}
+        assert is_ui(s, jobs=2).to_json() == want["ui"]
+        assert engine_reports(s, *args, **limits) == want
