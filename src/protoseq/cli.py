@@ -23,7 +23,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .config import CONSTRUCTIONS, sequences_from_config
+from .config import COMMON_KEYS, CONSTRUCTIONS, sequences_from_config
 from .hexalloc import HexCell, ReusePlan, cluster_size
 from .netsim import (Scenario, check_block_free, frame_offset_audit,
                      run_superframe)
@@ -96,6 +96,12 @@ def cmd_gen(args) -> int:
         elif flag == "split":
             value = value.split(",")
         cfg[key] = value
+    required, optional, _ = CONSTRUCTIONS[args.kind]
+    unread = [f"--{flag}" for flag, key in _GEN_KEYS.items()
+              if key in cfg and key not in (*required, *optional, *COMMON_KEYS)]
+    if unread:
+        raise ValueError(f"construction {args.kind!r} does not read flag(s): "
+                         + ", ".join(unread))
     s = sequences_from_config(cfg)
     weights = sorted({seq.weight for seq in s.sequences})
     print(f"{len(s)} sequences, period {s.period}, weights {weights}",
@@ -320,9 +326,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _warn_unread(args) -> None:
+    """Warn on stderr about the common flags a command does not read.
+
+    Only a warning: scripts pass --seed and --jobs to every command.
+    """
+    ui = args.command == "verify" and args.property == "ui"
+    if args.jobs is not None and not ui:
+        print("warning: --jobs has no effect here; only 'verify ui' reads it", file=sys.stderr)
+    if args.seed is not None and args.command in ("gen", "alloc", "params", "compare"):
+        print(f"warning: --seed has no effect on '{args.command}'", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    _warn_unread(args)
     try:
         return args.func(args)
     # missing flags, state-cap overruns, infeasible searches and malformed

@@ -3,9 +3,9 @@ construction names.
 
 A fragment names a saved set (``file``, relative to ``base_dir``), holds
 inline members (``sequences``) or names a ``construction`` with the keys
-``CONSTRUCTIONS`` requires of it.  Any fragment may add ``select`` (labels
-to keep, in order) and ``pad_slots``.  Keys a fragment does not use are
-ignored.
+``CONSTRUCTIONS`` requires of it, plus any of its optional keys.  Any
+fragment may add the ``COMMON_KEYS``: ``select`` (labels to keep, in order)
+and ``pad_slots``.  Keys a fragment does not use are ignored.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 from . import crt, rscpc
 from .sequences import SequenceSet
 
-__all__ = ["CONSTRUCTIONS", "sequences_from_config"]
+__all__ = ["COMMON_KEYS", "CONSTRUCTIONS", "sequences_from_config"]
 
 
 def _product(cfg: dict, base_dir: str) -> SequenceSet:
@@ -34,15 +34,18 @@ def _expanded(cfg: dict, base_dir: str) -> SequenceSet:
         split_labels=cfg.get("split_labels")))
 
 
-# construction name -> (required keys, builder(cfg, base_dir))
+# keys every fragment may add
+COMMON_KEYS = ("select", "pad_slots")
+
+# construction name -> (required keys, optional keys, builder(cfg, base_dir))
 CONSTRUCTIONS = {
-    "crt": (("p", "q"), lambda c, _: crt.crt_set(int(c["p"]), int(c["q"]))),
-    "crt0": (("p", "q"), lambda c, _: crt.crt0_set(int(c["p"]), int(c["q"]))),
-    "rs_cpc": (("n", "p", "k"), lambda c, _: rscpc.rs_cpc(rscpc.RsCpcParams(
+    "crt": (("p", "q"), (), lambda c, _: crt.crt_set(int(c["p"]), int(c["q"]))),
+    "crt0": (("p", "q"), (), lambda c, _: crt.crt0_set(int(c["p"]), int(c["q"]))),
+    "rs_cpc": (("n", "p", "k"), ("alpha",), lambda c, _: rscpc.rs_cpc(rscpc.RsCpcParams(
         int(c["n"]), int(c["p"]), int(c["k"]), c.get("alpha")))),
-    "product": (("x", "y"), _product),
-    "expanded": (("base", "p", "M"), _expanded),
-    "tdma": (("G", "delta"), lambda c, _: rscpc.tdma_set(int(c["G"]), int(c["delta"]))),
+    "product": (("x", "y"), (), _product),
+    "expanded": (("base", "p", "M"), ("split_labels",), _expanded),
+    "tdma": (("G", "delta"), (), lambda c, _: rscpc.tdma_set(int(c["G"]), int(c["delta"]))),
 }
 
 
@@ -61,7 +64,7 @@ def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
         if kind not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {kind!r}; expected one of "
                              + ", ".join(CONSTRUCTIONS))
-        required, build = CONSTRUCTIONS[kind]
+        required, _, build = CONSTRUCTIONS[kind]
         missing = [key for key in required if cfg.get(key) is None]
         if missing:
             raise ValueError(f"construction {kind!r} is missing required key(s): "

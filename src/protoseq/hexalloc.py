@@ -215,7 +215,6 @@ class PositionLogEntry:
     user: str
     superframe: int
     cell: HexCell
-    t_start_s: float | None = None
 
 
 def check_fermion(log: list[PositionLogEntry]) -> list[tuple[int, HexCell, tuple[str, ...]]]:

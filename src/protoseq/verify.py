@@ -199,7 +199,7 @@ def _stack(rot: np.ndarray, prefix: np.ndarray, last: range | None = None,
     (a slice or a list of member indices), or the occupied bits [word,
     assignment] when `members` is None, in a buffer of `pool` that the next
     call with it overwrites.  A joined block lists its assignments
-    shift-major, the prefix rows running fastest; `_ranges` puts their
+    shift-major, the prefix rows running fastest; `_scan` puts their
     values back in index order.  A pool serves the blocks of one scan, which
     share `rot` and `last`.  Shifts lie in [0, period), so mode="clip"
     changes no index; it only lets `take` write into `rows` without a buffer.
@@ -250,82 +250,47 @@ def _stack(rot: np.ndarray, prefix: np.ndarray, last: range | None = None,
     return out.reshape(words, len(picked), -1)
 
 
-def _ranges(rot: np.ndarray, blocks, value, members):
-    """One value per assignment, regrouped into the index ranges of _BATCH.
+def _scan(rot: np.ndarray, blocks, value, extreme, crossed, members):
+    """First assignment reaching the extreme of the first range crossing a limit.
 
     `value` maps the bits `_stack` returns for a block, the conflict-free
     bits of `members` or the occupied bits, to one number per assignment.
-    Yields (start, values, held, complete) for the range [m * _BATCH,
-    (m + 1) * _BATCH) in index order, however the blocks cut it: once
-    complete, and after each block that leaves it incomplete with the values
-    so far.  `held` are the blocks its assignments came from, and `values`
-    is a buffer that the next yield overwrites.
+    The ranges are [m * _BATCH, (m + 1) * _BATCH) of the index order, and a
+    range crosses when its extreme (np.min or np.max of its values) is
+    `crossed`.  Each block's values are put in index order, cut at the range
+    ends and folded into the extreme so far and the first assignment
+    reaching it, and the limit is tested at each range end.  As `crossed`
+    tests a limit, that extreme first crosses at the end of the first range
+    that crosses, and the assignment lies in that range.  Returns (index,
+    shifts, extreme, index + 1) for it, or (None, None, the extreme, scanned)
+    when no range crosses; the extreme is None when nothing was scanned.
     """
-    buf = np.empty(_BATCH, dtype=np.int64)
-    fill = start = 0
-    held = []
+    found = None  # (index, shifts, extreme, index + 1)
+    scanned = 0
     pool = {}
-    for block in blocks:
-        vals = value(_stack(rot, *block[1:], members, pool))
-        if block[2] is not None:  # shift-major, see _stack
-            vals = vals.reshape(len(block[2]), -1).T.ravel()
-        held.append(block)
+    for start, prefix, last in blocks:
+        vals = value(_stack(rot, prefix, last, members, pool))
+        width = 1
+        if last is not None:  # shift-major, see _stack
+            width = len(last)
+            vals = vals.reshape(width, -1).T.ravel()
         pos = 0
         while pos < vals.size:
-            take = min(vals.size - pos, _BATCH - fill)
-            buf[fill:fill + take] = vals[pos:pos + take]
-            fill += take
-            pos += take
-            if fill == _BATCH:
-                yield start, buf, held, True
-                start += _BATCH
-                fill = 0
-                held = [b for b in held if b[0] + len(b[1]) * _width(b[2]) > start]
-        if fill:
-            yield start, buf[:fill], held, False
-    if fill:
-        yield start, buf[:fill], held, True
-
-
-def _width(last: range | None) -> int:
-    """Assignments per prefix row of a block."""
-    return 1 if last is None else len(last)
-
-
-def _shifts_at(held, index: int) -> list[int]:
-    """The shift assignment at `index`, from the blocks that hold it."""
-    for start, prefix, last in held:
-        row, j = divmod(index - start, _width(last))
-        if row < len(prefix):
-            return prefix[row].tolist() + ([] if last is None else [last[j]])
-    raise AssertionError("unreachable: the held blocks cover the range")
-
-
-def _scan(rot: np.ndarray, blocks, value, extreme, crossed, members, peak: int):
-    """First assignment reaching the extreme of the first range crossing a limit.
-
-    The ranges are those of `_ranges`, and a range crosses when its extreme
-    (np.min or np.max of its values) is `crossed`.  `peak` is the most
-    extreme value there is, so a range that reaches it is decided before it
-    is complete.  Returns (index, shifts, extreme, scanned) for that
-    assignment, or (None, None, the extreme over all ranges, scanned) when
-    none crosses; the extreme is None when nothing was scanned.
-    """
-    best = None
-    scanned = 0
-    for start, vals, held, complete in _ranges(rot, blocks, value, members):
-        if complete:
-            ext = int(extreme(vals))
-            best = ext if best is None else int(extreme((best, ext)))
-            scanned = start + vals.size
-        elif peak in vals:
-            ext = peak
-        else:
-            continue
-        if crossed(ext):
-            index = start + int(np.flatnonzero(vals == ext)[0])
-            return index, _shifts_at(held, index), ext, index + 1
-    return None, None, best, scanned
+            offset = (start + pos) % _BATCH
+            if not offset and found and crossed(found[2]):
+                return found
+            piece = vals[pos:pos + _BATCH - offset]
+            ext = int(extreme(piece))
+            if found is None or extreme((found[2], ext)) != found[2]:
+                j = pos + int(np.flatnonzero(piece == ext)[0])
+                row, col = divmod(j, width)
+                shifts = prefix[row].tolist() + ([] if last is None else [last[col]])
+                found = (start + j, shifts, ext, start + j + 1)
+            pos += piece.size
+        scanned = start + vals.size
+    if found and crossed(found[2]):
+        return found
+    return None, None, None if found is None else found[2], scanned
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -426,7 +391,7 @@ def _scan_ui(args: tuple) -> tuple[int | None, list[int] | None, int | None]:
     _, k, n = rot.shape
     index, shifts, least, _ = _scan(
         rot, _assignment_batches(n, k, mode, samples, seed, cap, lo, hi),
-        lambda cf: _cf_counts(cf).min(axis=0), np.min, lambda m: m < 1, slice(None), 0)
+        lambda cf: _cf_counts(cf).min(axis=0), np.min, lambda m: m < 1, slice(None))
     return index, shifts, least
 
 
@@ -511,7 +476,7 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
     rot = _rotations(s)
     index, ce, low, scanned = _scan(
         rot, _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
-        lambda cf: _cf_counts(cf).min(axis=0), np.min, lambda m: m < threshold, idx, 0)
+        lambda cf: _cf_counts(cf).min(axis=0), np.min, lambda m: m < threshold, idx)
     stats = {"min_count": low, "threshold": threshold}
     if ce is None:
         return VerifyReport("conflict_free_count", mode, scanned, seed, "holds", None,
@@ -539,7 +504,7 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
     n = s.period
     index, ce, high, scanned = _scan(
         rot, _assignment_batches(n, len(s), mode, samples, seed, state_cap),
-        lambda cf: _cf_gaps(cf, n).max(axis=0), np.max, lambda m: m > bound, idx, n)
+        lambda cf: _cf_gaps(cf, n).max(axis=0), np.max, lambda m: m > bound, idx)
     stats = {"max_gap": high or 0, "bound": bound}
     if ce is None:
         return VerifyReport("conflict_free_gap", mode, scanned, seed, "holds", None, stats)
@@ -578,7 +543,7 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
     index, ce, longest, scanned = _scan(
         _rotations(s), _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
         lambda occ: _max_packed_run(occ, s.period), np.max,
-        lambda m: m > window - 1, None, s.period)
+        lambda m: m > window - 1, None)
     stats = {"max_occupied_run": longest or 0, "window": window}
     if ce is None:
         return VerifyReport("zero_column_window", mode, scanned, seed, "holds", None, stats)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import protoseq
 from protoseq.cli import main
 from protoseq.crt import crt0_set
 from protoseq.hexalloc import ReusePlan
@@ -89,6 +90,13 @@ class TestGen:
         assert run("gen", "tdma", "--g", "4") == 2
         assert ("error: construction 'tdma' is missing required key(s): 'delta'"
                 in capsys.readouterr().err)
+
+    def test_unread_flags_are_named(self, capsys):
+        assert run("gen", "crt0", "--p", "3", "--q", "5", "--n", "7", "--delta", "4") == 2
+        assert ("error: construction 'crt0' does not read flag(s): --n, --delta"
+                in capsys.readouterr().err)
+        assert run("gen", "crt0", "--p", "3", "--q", "5", "--split", "g0") == 2
+        assert "--split" in capsys.readouterr().err
 
     def test_empty_split_and_zero_pad_are_absent(self, tmp_path, capsys):
         base = tmp_path / "base.json"
@@ -330,6 +338,41 @@ class TestCompare:
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
+class TestUnreadCommonFlags:
+    # scripts pass --seed and --jobs to every command, so a command that
+    # does not read them only warns and keeps its exit code and output
+
+    def test_jobs_and_seed_warn(self, capsys):
+        assert run("alloc", "--r", "20", "--h", "1", "--jobs", "7", "--seed", "3") == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["G"] == 541
+        assert err.count("warning:") == 2
+        assert "warning: --jobs has no effect here; only 'verify ui' reads it" in err
+        assert "warning: --seed has no effect on 'alloc'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "crt0", "--p", "3", "--q", "5"],
+        ["params", "prop2", "--m", "3", "--g", "7"],
+        ["compare", "--m", "3", "--g", "7", "--delta", "2"],
+    ])
+    def test_seed_warns(self, argv, capsys):
+        assert run(*argv, "--seed", "3") == 0
+        err = capsys.readouterr().err
+        assert f"warning: --seed has no effect on '{argv[0]}'" in err
+        assert "--jobs" not in err
+
+    def test_jobs_warns_outside_verify_ui(self, capsys):
+        assert run("verify", "window", "--p", "3", "--jobs", "1") == 0
+        err = capsys.readouterr().err
+        assert "warning: --jobs has no effect here" in err
+        assert "--seed" not in err
+
+    def test_verify_ui_is_silent(self, capsys):
+        assert run("verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}',
+                   "--jobs", "1", "--seed", "3") == 0
+        assert "warning" not in capsys.readouterr().err
+
+
 class TestEntryPoints:
     @pytest.mark.skipif(shutil.which("protoseq") is None,
                         reason="the protoseq console script is not on PATH; "
@@ -342,8 +385,12 @@ class TestEntryPoints:
         assert json.loads(proc.stdout)["frame_slots"] == 84
 
     def test_module_invocation(self):
+        # the child imports the package the tests import, installed or not
+        src = os.path.dirname(os.path.dirname(protoseq.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "protoseq.cli",
                                "alloc", "--r", "1.94", "--h", "1"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["G"] == 7

@@ -240,8 +240,8 @@ class TestCheckFermion:
         ]
 
     def test_duplicate_consistent_entries_ok(self):
-        log = [PositionLogEntry("u1", 0, HexCell(0, 0), 0.0),
-               PositionLogEntry("u1", 0, HexCell(0, 0), 0.0)]
+        log = [PositionLogEntry("u1", 0, HexCell(0, 0)),
+               PositionLogEntry("u1", 0, HexCell(0, 0))]
         assert check_fermion(log) == []
 
     def test_conflicting_duplicate_rejected(self):

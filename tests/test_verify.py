@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protoseq import verify
 from protoseq.crt import (ExpandedSetSpec, crt0_set, crt_set, expanded_set,
                           select_expansion_base)
 from protoseq.rscpc import RsCpcParams, rs_cpc
@@ -150,7 +151,8 @@ class TestIsUi:
 
 
 class TestDenseFallback:
-    # members heavier than 63 ones, the most a 64-bit mask of a member's ones holds
+    # members with more ones than one 64-bit word holds, so their ones span
+    # two words of the packed rotation table
 
     def test_violated(self):
         s = SequenceSet((BinarySequence(70, tuple(range(70))),
@@ -390,19 +392,21 @@ def oracle_reports(s, mode, samples, seed, protected, threshold, bound, window):
     Exhaustive mode lists the space with the first shift pinned; random mode
     draws _BATCH-sized blocks exactly as the audits' sampling contract says.
     The floor, gap and window audits report the first assignment reaching
-    the extreme of the first _BATCH block that crosses their limit.
+    the extreme of the first _BATCH block that crosses their limit.  The
+    block size is read at call time, so a test may patch it.
     """
     n, k = s.period, len(s)
+    batch = verify._BATCH
     if mode == "exhaustive":
         space = [(0, *rest) for rest in itertools.product(range(n), repeat=k - 1)]
     else:
         rng = np.random.default_rng(seed)
         space = []
         while len(space) < samples:
-            b = min(_BATCH, samples - len(space))
+            b = min(batch, samples - len(space))
             space += [tuple(int(t) for t in row) for row in rng.integers(0, n, size=(b, k))]
     facts = [stack_facts(s, shifts) for shifts in space]
-    blocks = [range(a, min(a + _BATCH, len(space))) for a in range(0, len(space), _BATCH)]
+    blocks = [range(a, min(a + batch, len(space))) for a in range(0, len(space), batch)]
     rows = [s.labels.index(l) for l in protected]
     out = {}
 
@@ -625,3 +629,53 @@ class TestPrefixBlocks:
             assert want["ui"]["counterexample"] == {"shifts": [0, 35]}
         assert is_ui(s, jobs=2).to_json() == want["ui"]
         assert engine_reports(s, *args, **limits) == want
+
+
+def small_family(seed, n, k):
+    """k seeded members of period n with mixed densities, and a protected subset."""
+    rng = np.random.default_rng(seed)
+    members = [BinarySequence(n, tuple(int(x) for x in np.flatnonzero(rng.random(n) < d)))
+               for d in rng.choice([0.1, 0.2, 0.35, 0.5], size=k)]
+    labels = tuple(f"m{i}" for i in range(k))
+    protected = [l for l in labels if rng.random() < 0.6] or [labels[0]]
+    return SequenceSet(tuple(members), labels), protected
+
+
+class TestSmallBatches:
+    """The range fold at many range edges, with _BATCH patched down.
+
+    With a few assignments per range, one exhaustive prefix row crosses
+    several range boundaries, blocks and ranges cut each other at shifting
+    offsets, and random mode draws many short blocks.  Each family is
+    audited under limits nothing crosses, under limits that only the
+    extremes of the whole space cross, which are often met past the first
+    range, and under limits a little short of those extremes, which an
+    earlier range may cross with a milder extreme.  Every report must match
+    the dense oracle at the same batch size.
+    """
+
+    @pytest.mark.parametrize("k, periods, batches, mode, samples", [
+        (2, (30, 65), (7, 11), "exhaustive", 0),
+        (3, (12, 17), (7, 29, 50), "exhaustive", 0),
+        (3, (13, 40), (7, 50), "random", 120),
+    ], ids=["exhaustive_k2", "exhaustive_k3", "random"])
+    def test_reports(self, monkeypatch, k, periods, batches, mode, samples):
+        late = 0
+        for batch, n, seed in itertools.product(batches, periods, range(4)):
+            s, protected = small_family(seed, n, k)
+            monkeypatch.setattr(verify, "_BATCH", batch)
+            args = (mode, samples, seed, protected)
+            lax = dict(threshold=0, bound=n, window=n)
+            want = oracle_reports(s, *args, **lax)
+            assert engine_reports(s, *args, **lax) == want, (batch, n, seed)
+            low = want["count"]["stats"]["min_count"]
+            high = want["gap"]["stats"]["max_gap"]
+            run = want["window"]["stats"]["max_occupied_run"]
+            for slack in (0, 1, 2):  # crossed by the extremes and by values short of them
+                limits = dict(threshold=low + 1 + slack, bound=high - 1 - slack,
+                              window=max(1, run - slack))
+                want = oracle_reports(s, *args, **limits)
+                assert engine_reports(s, *args, **limits) == want, (batch, n, seed, slack)
+                late += sum(r["verdict"] == "violated" and r["samples"] > batch
+                            for a, r in want.items() if a != "ui")
+        assert late
