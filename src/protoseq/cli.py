@@ -123,9 +123,13 @@ def _load_set(args) -> SequenceSet:
 
 
 def cmd_verify(args) -> int:
+    # the flags default to None so that _warn_unread sees which were given;
+    # the defaults are filled in before the manifest's config digest
+    mode = args.mode = args.mode or "exhaustive"
+    if args.samples is None:
+        args.samples = 100_000
     s = _load_set(args)
     prop = args.property
-    mode = args.mode
     protected = args.protected.split(",") if args.protected else None
     if prop == "ui":
         # resolved here, not as the flag's default, so that the host's CPU
@@ -285,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--set", type=str, help="sequence set JSON file")
     v.add_argument("--config", type=str, help="inline construction config JSON")
     v.add_argument("--mode", choices=["exhaustive", "random"],
-                   default="exhaustive")
-    v.add_argument("--samples", type=int, default=100_000)
+                   help="default: exhaustive")
+    v.add_argument("--samples", type=int, help="random mode (default: 100000)")
     v.add_argument("--bound", type=int)
     v.add_argument("--threshold", type=int)
     v.add_argument("--window", type=int)
@@ -336,6 +340,17 @@ def _warn_unread(args) -> None:
         print("warning: --jobs has no effect here; only 'verify ui' reads it", file=sys.stderr)
     if args.seed is not None and args.command in ("gen", "alloc", "params", "compare"):
         print(f"warning: --seed has no effect on '{args.command}'", file=sys.stderr)
+    if args.command != "verify":
+        return
+    drawless = args.property in ("xcorr", "separation")
+    if args.seed is not None and (drawless or args.mode != "random"):
+        print(f"warning: --seed has no effect on 'verify {args.property}'"
+              + ("" if drawless else " in exhaustive mode") + "; nothing is drawn",
+              file=sys.stderr)
+    for flag in ("mode", "samples"):
+        if drawless and getattr(args, flag) is not None:
+            print(f"warning: --{flag} has no effect on 'verify {args.property}'; "
+                  "it is always exhaustive", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

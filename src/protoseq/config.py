@@ -5,7 +5,8 @@ A fragment names a saved set (``file``, relative to ``base_dir``), holds
 inline members (``sequences``) or names a ``construction`` with the keys
 ``CONSTRUCTIONS`` requires of it, plus any of its optional keys.  Any
 fragment may add the ``COMMON_KEYS``: ``select`` (labels to keep, in order)
-and ``pad_slots``.  Keys a fragment does not use are ignored.
+and ``pad_slots``.  A construction fragment holding any other key is
+rejected, so no key is dropped without a word.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ CONSTRUCTIONS = {
 def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
     """Build or load a sequence set from a config fragment.
 
-    A missing required key raises ValueError naming the construction and
-    the key.
+    A missing required key, or a key a construction fragment does not
+    read, raises ValueError naming the construction and the key.
     """
     if "file" in cfg:
         s = SequenceSet.load(os.path.join(base_dir, cfg["file"]))
@@ -64,11 +65,16 @@ def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
         if kind not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {kind!r}; expected one of "
                              + ", ".join(CONSTRUCTIONS))
-        required, _, build = CONSTRUCTIONS[kind]
+        required, optional, build = CONSTRUCTIONS[kind]
         missing = [key for key in required if cfg.get(key) is None]
         if missing:
             raise ValueError(f"construction {kind!r} is missing required key(s): "
                              + ", ".join(repr(key) for key in missing))
+        unread = [key for key in cfg
+                  if key not in ("construction", *required, *optional, *COMMON_KEYS)]
+        if unread:
+            raise ValueError(f"construction {kind!r} does not read key(s): "
+                             + ", ".join(repr(key) for key in unread))
         s = build(cfg, base_dir)
     else:
         raise ValueError("a sequence config needs a 'file', 'sequences' or "

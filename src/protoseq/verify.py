@@ -117,21 +117,25 @@ def _check_cap(n: int, k: int, cap: int) -> int:
 def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
                         seed: int | None = None, cap: int = DEFAULT_STATE_CAP,
                         lo: int = 0, hi: int | None = None):
-    """Yield (start_index, prefix, last) blocks of about _BATCH assignments.
+    """Yield (start_index, prefix, last) blocks of about _BATCH packed words.
 
+    An assignment stacks ceil(n / 64) words, so a block holds at most
+    _BATCH // words assignments, but never less than one prefix row or draw.
     Exhaustive mode counts in lexicographic order with mixed-radix digits,
     the first shift pinned to 0 and the second in [lo, hi).  A block holds
     the shifts of members 0..k-2 once per prefix row and the range `last` of
     the last member's shifts, whose digit runs fastest: assignment j of the
     block is (*prefix[j // len(last)], last[j % len(last)]).  Random mode
-    draws seeded assignments, one per row of `prefix`, with `last` None.
+    draws seeded assignments _BATCH at a time and cuts each draw into
+    blocks, one assignment per row of `prefix`, with `last` None.
     """
+    per = max(1, _BATCH // -(-n // 64))  # assignments per block
     if mode == "exhaustive":
         _check_cap(n, k, cap)
         digits = [range(1), range(lo, n if hi is None else hi), *[range(n)] * (k - 2)][:k]
         last = digits.pop()
         prefixes = math.prod(map(len, digits))
-        step = max(1, _BATCH // len(last))
+        step = max(1, per // len(last))
         for first in range(0, prefixes, step):
             idx = np.arange(first, min(first + step, prefixes))
             prefix = np.empty((idx.size, k - 1), dtype=np.int64)
@@ -143,9 +147,10 @@ def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
         rng = np.random.default_rng(seed)
         done = 0
         while done < samples:
-            b = min(_BATCH, samples - done)
-            yield done, rng.integers(0, n, size=(b, k)), None
-            done += b
+            draw = rng.integers(0, n, size=(min(_BATCH, samples - done), k))
+            for i in range(0, len(draw), per):
+                yield done + i, draw[i:i + per], None
+            done += len(draw)
     else:
         raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
 
@@ -173,14 +178,17 @@ def _rotations(s: SequenceSet) -> np.ndarray:
 
 
 def _buffer(pool: dict, name: str, shape: tuple) -> np.ndarray:
-    """A uint64 array of `shape` that `pool` keeps for the next block.
+    """A uint64 array of `shape` on storage that `pool` keeps for the next block.
 
     Fresh arrays per block made glibc trim and re-fault the heap each time.
+    The first block of a scan is its largest, so the storage is allocated
+    once and a shorter block gets a leading view of it.
     """
+    size = math.prod(shape)
     buf = pool.get(name)
-    if buf is None or buf.shape != shape:
-        buf = pool[name] = np.empty(shape, dtype=np.uint64)
-    return buf
+    if buf is None or buf.size < size:
+        buf = pool[name] = np.empty(size, dtype=np.uint64)
+    return buf[:size].reshape(shape)
 
 
 def _stack(rot: np.ndarray, prefix: np.ndarray, last: range | None = None,

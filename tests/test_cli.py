@@ -164,6 +164,12 @@ class TestVerify:
         assert ("error: construction 'crt0' is missing required key(s): 'q'"
                 in capsys.readouterr().err)
 
+    def test_config_unread_key_is_named(self, capsys):
+        assert run("verify", "ui", "--config",
+                   '{"construction":"crt0","p":3,"q":5,"n":7}') == 2
+        assert ("error: construction 'crt0' does not read key(s): 'n'"
+                in capsys.readouterr().err)
+
     def test_window_outside_period(self, capsys):
         assert run("verify", "window", "--p", "3", "--window", "0",
                    "--mode", "random", "--samples", "10", "--seed", "1") == 2
@@ -303,6 +309,19 @@ class TestSim:
         assert ("error: scenario config is missing required key(s): 'R_m'"
                 in capsys.readouterr().err)
 
+    def test_unread_sequence_key_is_named(self, tmp_path, capsys):
+        cfg = {
+            "tau_s": 1e-3, "L": 2, "F": 3, "delta_c_slots": 0, "R_m": 10.0,
+            "h_m": 1.0, "M": 2, "slot_synchronized": True,
+            "sequences": {"construction": "tdma", "G": 2, "delta": 0, "p": 3},
+            "users": [{"id": "a", "x": 0, "y": 0, "label": "t0"}],
+        }
+        path = tmp_path / "extra_key.json"
+        path.write_text(json.dumps(cfg))
+        assert run("sim", "--config", str(path), "--seed", "1") == 2
+        assert ("error: construction 'tdma' does not read key(s): 'p'"
+                in capsys.readouterr().err)
+
 
 class TestCompare:
     def test_json_table(self, capsys):
@@ -368,8 +387,47 @@ class TestUnreadCommonFlags:
         assert "--seed" not in err
 
     def test_verify_ui_is_silent(self, capsys):
+        # exhaustive mode draws nothing, so the seed goes with random mode
         assert run("verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}',
-                   "--jobs", "1", "--seed", "3") == 0
+                   "--jobs", "1", "--seed", "3", "--mode", "random", "--samples", "50") == 0
+        assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, where", [
+        (["verify", "xcorr", "--bound", "1"], "'verify xcorr'"),
+        (["verify", "separation"], "'verify separation'"),
+        (["verify", "ui"], "'verify ui' in exhaustive mode"),
+        (["verify", "cf-gap", "--protected", "g0", "--bound", "15", "--mode", "exhaustive"],
+         "'verify cf-gap' in exhaustive mode"),
+    ])
+    def test_seed_warns_where_nothing_is_drawn(self, argv, where, capsys):
+        cfg = ["--config", '{"construction":"crt0","p":3,"q":5}']
+        assert run(*argv, *cfg) == 0
+        quiet = capsys.readouterr()
+        assert "warning" not in quiet.err
+        assert run(*argv, *cfg, "--seed", "4") == 0
+        out, err = capsys.readouterr()
+        assert err.count("warning:") == 1
+        assert f"warning: --seed has no effect on {where}; nothing is drawn" in err
+        report, plain = json.loads(out), json.loads(quiet.out)
+        for doc in (report, plain):
+            del doc["manifest"]
+        assert report == plain or report == {**plain, "seed": 4}
+
+    def test_sampling_flags_warn_on_exhaustive_only_audits(self, capsys):
+        cfg = '{"construction":"crt0","p":3,"q":5}'
+        assert run("verify", "xcorr", "--config", cfg, "--bound", "1", "--mode", "random",
+                   "--samples", "9") == 0
+        out, err = capsys.readouterr()
+        assert err.count("warning:") == 2
+        for flag in ("--mode", "--samples"):
+            assert (f"warning: {flag} has no effect on 'verify xcorr'; "
+                    "it is always exhaustive") in err
+        assert json.loads(out)["mode"] == "exhaustive"
+        assert run("verify", "separation", "--config", cfg, "--samples", "9") == 0
+        assert ("warning: --samples has no effect on 'verify separation'"
+                in capsys.readouterr().err)
+        assert run("verify", "window", "--p", "3", "--mode", "random", "--samples", "9",
+                   "--seed", "2") == 0
         assert "warning" not in capsys.readouterr().err
 
 

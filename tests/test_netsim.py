@@ -372,6 +372,14 @@ class TestConfigLoading:
         sc2 = Scenario.load(str(path))
         assert sc2.resolved_labels == sc.resolved_labels
 
+    def test_unread_sequence_key_is_named(self):
+        cfg = {"tau_s": 1e-3, "L": 60, "F": 3, "delta_c_slots": 2, "R_m": 500.0,
+               "h_m": 1.0, "M": 3,
+               "sequences": {"construction": "crt0", "p": 3, "q": 5, "pad": 3},
+               "users": [{"id": "a", "x": 0, "y": 0, "label": "g0"}]}
+        with pytest.raises(ValueError, match=r"'crt0' does not read key\(s\): 'pad'"):
+            Scenario.from_config(cfg)
+
     def test_slot_synchronized_drops_propagation_guard(self):
         cfg = {
             "tau_s": 1e-3, "L": 2, "F": 3, "delta_c_slots": 0,
@@ -520,6 +528,21 @@ class TestSequencesFromConfig:
             sequences_from_config({"construction": "expanded", "p": 3})
         with pytest.raises(ValueError, match="'construction'"):
             sequences_from_config({"p": 3, "q": 5})
+
+    def test_unread_key_names_construction_and_key(self):
+        with pytest.raises(ValueError, match=r"'crt0' does not read key\(s\): 'n', 'delta'"):
+            sequences_from_config({"construction": "crt0", "p": 3, "q": 5, "n": 7, "delta": 4})
+        with pytest.raises(ValueError, match=r"'tdma' does not read key\(s\): 'q'"):
+            sequences_from_config({"construction": "product",
+                                   "x": {"construction": "crt0", "p": 2, "q": 3},
+                                   "y": {"construction": "tdma", "G": 5, "delta": 0, "q": 1}})
+        with pytest.raises(ValueError, match=r"'expanded' does not read key\(s\): 'alpha'"):
+            sequences_from_config({"construction": "expanded", "p": 3, "M": 3, "alpha": 2,
+                                   "base": {"construction": "crt0", "p": 3, "q": 5}})
+        # optional and common keys are read
+        s = sequences_from_config({"construction": "rs_cpc", "n": 5, "p": 11, "k": 3,
+                                   "alpha": None, "select": ["3"], "pad_slots": 0})
+        assert s.labels == ("3",)
 
 
 # ---------------------------------------------------------------------------

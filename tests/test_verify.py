@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from protoseq.crt import (ExpandedSetSpec, crt0_set, crt_set, expanded_set,
 from protoseq.rscpc import RsCpcParams, rs_cpc
 from protoseq.sequences import BinarySequence, SequenceSet
 from protoseq.verify import (_BATCH, StackedMatrix, StateCapExceeded,
-                             VerifyReport, _max_circular_run, _max_packed_run,
-                             _rotations,
+                             VerifyReport, _assignment_batches,
+                             _max_circular_run, _max_packed_run, _rotations,
+                             _stack,
                              conflict_free_positions,
                              is_ui, max_conflict_free_gap,
                              min_conflict_free_count, separation_audit,
@@ -296,6 +298,19 @@ class TestExpandedAudits:
                                            samples=2000, seed=5)
         default = min_conflict_free_count(selection, samples=2000, seed=5)
         assert explicit.to_json() == default.to_json()
+
+    @pytest.mark.parametrize("audit", [min_conflict_free_count, max_conflict_free_gap])
+    def test_traced_peak(self, selection, audit):
+        # At period 2040 an assignment stacks 32 words, so blocks of 512
+        # assignments keep every buffer and the gap audit's unpacked bits
+        # small; one block of the whole 10 k draw peaks at 20 MB and 60 MB.
+        tracemalloc.start()
+        try:
+            audit(selection, samples=10_000, seed=20240817)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10 ** 6
 
 
 class TestProtectedRowAudits:
@@ -641,6 +656,39 @@ def small_family(seed, n, k):
     return SequenceSet(tuple(members), labels), protected
 
 
+class TestBlockBudget:
+    """Blocks hold at most _BATCH packed words, and never less than one row."""
+
+    def test_random_blocks_cut_each_draw(self, monkeypatch):
+        # period 640 stacks 10 words, so a draw of 50 is cut into blocks of 5
+        monkeypatch.setattr(verify, "_BATCH", 50)
+        blocks = list(_assignment_batches(640, 3, "random", 120, 7))
+        assert [(start, len(p)) for start, p, _ in blocks] == [(a, 5) for a in range(0, 120, 5)]
+        rng = np.random.default_rng(7)
+        drawn = np.concatenate([rng.integers(0, 640, size=(b, 3)) for b in (50, 50, 20)])
+        assert (np.concatenate([p for _, p, _ in blocks]) == drawn).all()
+
+    def test_exhaustive_row_over_budget(self, monkeypatch):
+        # period 65 stacks 2 words: a prefix row of 65 assignments exceeds
+        # the budget of 75, so every block holds exactly one prefix row
+        monkeypatch.setattr(verify, "_BATCH", 150)
+        blocks = list(_assignment_batches(65, 3, "exhaustive"))
+        assert [(start, p.tolist(), last) for start, p, last in blocks] == \
+            [(65 * i, [[0, i]], range(65)) for i in range(65)]
+
+    @pytest.mark.parametrize("members", [None, [0, 2]])
+    def test_tail_block_reuses_the_pool(self, members):
+        s, _ = small_family(3, 700, 3)
+        rot, pool = _rotations(s), {}
+        draw = np.random.default_rng(1).integers(0, 700, size=(30, 3))
+        head = _stack(rot, draw[:20], members=members, pool=pool)
+        held = dict(pool)
+        tail = _stack(rot, draw[20:], members=members, pool=pool)
+        assert all(pool[name] is buf for name, buf in held.items()) and pool.keys() == held.keys()
+        assert np.shares_memory(head, tail)
+        assert (tail == _stack(rot, draw[20:], members=members)).all()
+
+
 class TestSmallBatches:
     """The range fold at many range edges, with _BATCH patched down.
 
@@ -664,18 +712,47 @@ class TestSmallBatches:
         for batch, n, seed in itertools.product(batches, periods, range(4)):
             s, protected = small_family(seed, n, k)
             monkeypatch.setattr(verify, "_BATCH", batch)
-            args = (mode, samples, seed, protected)
-            lax = dict(threshold=0, bound=n, window=n)
-            want = oracle_reports(s, *args, **lax)
-            assert engine_reports(s, *args, **lax) == want, (batch, n, seed)
-            low = want["count"]["stats"]["min_count"]
-            high = want["gap"]["stats"]["max_gap"]
-            run = want["window"]["stats"]["max_occupied_run"]
-            for slack in (0, 1, 2):  # crossed by the extremes and by values short of them
-                limits = dict(threshold=low + 1 + slack, bound=high - 1 - slack,
-                              window=max(1, run - slack))
-                want = oracle_reports(s, *args, **limits)
-                assert engine_reports(s, *args, **limits) == want, (batch, n, seed, slack)
-                late += sum(r["verdict"] == "violated" and r["samples"] > batch
-                            for a, r in want.items() if a != "ui")
+            for r in self.crossed_reports(s, (mode, samples, seed, protected)):
+                late += r["samples"] > batch
         assert late
+
+    @pytest.mark.parametrize("k, n, batch, mode, samples, seeds", [
+        (3, 640, 50, "random", 120, 3),
+        (3, 65, 150, "exhaustive", 0, 1),
+    ], ids=["random_10_words", "exhaustive_2_words"])
+    def test_blocks_within_ranges(self, monkeypatch, k, n, batch, mode, samples, seeds):
+        # Random mode cuts each draw of 50 into blocks of 5.  An exhaustive
+        # prefix row of 65 exceeds the budget of 75, so each block is one
+        # row.  Some crossing range must reach its extreme in a later block
+        # than the one it starts in.
+        monkeypatch.setattr(verify, "_BATCH", batch)
+        later = 0
+        for seed in range(seeds):
+            s, protected = small_family(seed, n, k)
+            starts = [b[0] for b in _assignment_batches(n, k, mode, samples, seed)]
+            for r in self.crossed_reports(s, (mode, samples, seed, protected)):
+                a = r["samples"] - 1
+                later += any(a - a % batch < b <= a for b in starts)
+        assert later
+
+    @staticmethod
+    def crossed_reports(s, args):
+        """Engine against oracle under limits nothing crosses, limits the
+        extremes cross and limits up to two steps short of them; returns the
+        violated floor, gap and window reports."""
+        n = s.period
+        where = (verify._BATCH, n, args[2])  # batch, period, seed
+        lax = dict(threshold=0, bound=n, window=n)
+        want = oracle_reports(s, *args, **lax)
+        assert engine_reports(s, *args, **lax) == want, where
+        low = want["count"]["stats"]["min_count"]
+        high = want["gap"]["stats"]["max_gap"]
+        run = want["window"]["stats"]["max_occupied_run"]
+        crossed = []
+        for slack in (0, 1, 2):  # crossed by the extremes and by values short of them
+            limits = dict(threshold=low + 1 + slack, bound=high - 1 - slack,
+                          window=max(1, run - slack))
+            want = oracle_reports(s, *args, **limits)
+            assert engine_reports(s, *args, **limits) == want, (*where, slack)
+            crossed += [r for a, r in want.items() if a != "ui" and r["verdict"] == "violated"]
+        return crossed
