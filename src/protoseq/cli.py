@@ -171,7 +171,10 @@ def cmd_alloc(args) -> int:
            "min_cochannel_m": d * math.sqrt(G)}
     plan = ReusePlan(h, R, G, b1, b2)
     if args.cell:
-        m, n = (int(v) for v in args.cell.split(","))
+        try:
+            m, n = (int(v) for v in args.cell.split(","))
+        except ValueError:
+            raise ValueError(f"--cell must be two integers m,n, got {args.cell!r}") from None
         doc["cell"] = [m, n]
         doc["index"] = plan.allocate(HexCell(m, n))
         print(f"cell ({m},{n}) -> index {doc['index']}", file=sys.stderr)
@@ -338,6 +341,9 @@ def _warn_unread(args) -> None:
     ui = args.command == "verify" and args.property == "ui"
     if args.jobs is not None and not ui:
         print("warning: --jobs has no effect here; only 'verify ui' reads it", file=sys.stderr)
+    elif args.jobs is not None and args.mode == "random":
+        print("warning: --jobs has no effect on 'verify ui' in random mode; "
+              "only exhaustive scans are split", file=sys.stderr)
     if args.seed is not None and args.command in ("gen", "alloc", "params", "compare"):
         print(f"warning: --seed has no effect on '{args.command}'", file=sys.stderr)
     if args.command != "verify":

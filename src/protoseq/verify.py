@@ -126,8 +126,8 @@ def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
     the shifts of members 0..k-2 once per prefix row and the range `last` of
     the last member's shifts, whose digit runs fastest: assignment j of the
     block is (*prefix[j // len(last)], last[j % len(last)]).  Random mode
-    draws seeded assignments _BATCH at a time and cuts each draw into
-    blocks, one assignment per row of `prefix`, with `last` None.
+    draws `samples` >= 1 seeded assignments _BATCH at a time and cuts each
+    draw into blocks, one assignment per row of `prefix`, with `last` None.
     """
     per = max(1, _BATCH // -(-n // 64))  # assignments per block
     if mode == "exhaustive":
@@ -144,6 +144,8 @@ def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
                 prefix[:, col] += digits[col].start
             yield first * len(last), prefix, last
     elif mode == "random":
+        if samples < 1:
+            raise ValueError(f"random mode needs samples >= 1, got {samples}")
         rng = np.random.default_rng(seed)
         done = 0
         while done < samples:
@@ -177,84 +179,52 @@ def _rotations(s: SequenceSet) -> np.ndarray:
     return out
 
 
-def _buffer(pool: dict, name: str, shape: tuple) -> np.ndarray:
-    """A uint64 array of `shape` on storage that `pool` keeps for the next block.
-
-    Fresh arrays per block made glibc trim and re-fault the heap each time.
-    The first block of a scan is its largest, so the storage is allocated
-    once and a shorter block gets a leading view of it.
-    """
-    size = math.prod(shape)
-    buf = pool.get(name)
-    if buf is None or buf.size < size:
-        buf = pool[name] = np.empty(size, dtype=np.uint64)
-    return buf[:size].reshape(shape)
-
-
 def _stack(rot: np.ndarray, prefix: np.ndarray, last: range | None = None,
-           members=None, pool: dict | None = None) -> np.ndarray:
+           members=None) -> np.ndarray:
     """Stack every member at its shift, for one block of assignments.
 
     `occ` collects the columns holding at least one 1 and `dup` those holding
     two or more; a member's conflict-free bits are its 1s outside `dup`.
-    The members of each `prefix` row are gathered and stacked one by one.
-    An exhaustive block then joins the last member's rotation row `r` over
-    `last` to every prefix row.  The join needs no second pass over the
-    members: a prefix member keeps its conflict-free bits outside r, and
-    the last member keeps the bits of r outside occ.
+    The members of each `prefix` row are gathered into `rows` and folded
+    into `occ` and `dup` one by one.  An exhaustive block then joins the last
+    member's rotation row `r` over `last` to every prefix row by
+    broadcasting into [word, prefix row, shift].  The join needs no second
+    pass over the members: a prefix member keeps its conflict-free bits
+    outside r, and the last member keeps the bits of r outside occ.
 
     Returns the conflict-free bits [word, member, assignment] of `members`
     (a slice or a list of member indices), or the occupied bits [word,
-    assignment] when `members` is None, in a buffer of `pool` that the next
-    call with it overwrites.  A joined block lists its assignments
-    shift-major, the prefix rows running fastest; `_scan` puts their
-    values back in index order.  A pool serves the blocks of one scan, which
-    share `rot` and `last`.  Shifts lie in [0, period), so mode="clip"
-    changes no index; it only lets `take` write into `rows` without a buffer.
+    assignment] when `members` is None, with the assignments in index order.
+    Shifts lie in [0, period), so mode="clip" changes no index; it only lets
+    `take` write into `rows` without a buffer.
     """
-    pool = {} if pool is None else pool
     words, k, _ = rot.shape
     b, g = prefix.shape
-    picked = [] if members is None else np.arange(k)[members].tolist()
-    slot = {i: j for j, i in enumerate(dict.fromkeys(picked))}
-    rows = _buffer(pool, "rows", (words, len(slot), b))
-    spare = _buffer(pool, "spare", (words, b))  # for members not picked
-    occ = _buffer(pool, "occ", (words, b))
-    dup = _buffer(pool, "dup", (words, b))
-    occ.fill(0)
-    dup.fill(0)
-    both = _buffer(pool, "both", (words, b))  # occ & row, without a fresh array
+    rows = np.empty((words, g, b), dtype=np.uint64)
+    occ = np.zeros((words, b), dtype=np.uint64)
+    dup = np.zeros((words, b), dtype=np.uint64)
     for i in range(g):
-        row = rows[:, slot[i]] if i in slot else spare
+        row = rows[:, i]
         rot[:, i].take(prefix[:, i], axis=1, out=row, mode="clip")
         if members is not None:
-            np.bitwise_and(occ, row, out=both)
-            dup |= both
+            dup |= occ & row
         occ |= row
-    if members is not None:
-        rows &= np.invert(dup, out=dup)[:, None]  # dup now holds the free columns
-    if last is None:
-        if members is None:
-            return occ
-        return rows if len(slot) == len(picked) else rows[:, [slot[i] for i in picked]]
-    # the last member's row and its complement, repeated along the prefix
-    # rows so that every join runs over contiguous rows
-    w = len(last)
-    tiles = pool.get("tiles")
-    if tiles is None or tiles.shape[-1] < b:
-        r = rot[:, k - 1, last.start:last.stop, None]  # [word, shift, 1]
-        tiles = pool["tiles"] = np.repeat(np.stack([r, ~r]), b, axis=-1)
-    r, not_r = tiles[0, ..., :b], tiles[1, ..., :b]  # [word, shift, prefix]
+    r = None if last is None else rot[:, k - 1, None, last.start:last.stop]  # [word, 1, shift]
     if members is None:
-        out = _buffer(pool, "joined", (words, w, b))
-        np.bitwise_or(occ[:, None], r, out=out)
-        return out.reshape(words, -1)
-    out = _buffer(pool, "cf", (words, len(picked), w, b))
+        return occ if r is None else (occ[:, :, None] | r).reshape(words, -1)
+    free = np.invert(dup, out=dup)
+    if r is None:
+        cf = rows[:, members]
+        cf &= free[:, None]
+        return cf
+    rows &= free[:, None]
+    picked = np.arange(k)[members].tolist()
+    out = np.empty((words, len(picked), b, len(last)), dtype=np.uint64)
     for j, i in enumerate(picked):
         if i < g:
-            np.bitwise_and(rows[:, slot[i], None], not_r, out=out[:, j])
+            np.bitwise_and(rows[:, i, :, None], ~r, out=out[:, j])
         else:
-            np.bitwise_and(~occ[:, None], r, out=out[:, j])
+            np.bitwise_and(~occ[:, :, None], r, out=out[:, j])
     return out.reshape(words, len(picked), -1)
 
 
@@ -265,8 +235,8 @@ def _scan(rot: np.ndarray, blocks, value, extreme, crossed, members):
     bits of `members` or the occupied bits, to one number per assignment.
     The ranges are [m * _BATCH, (m + 1) * _BATCH) of the index order, and a
     range crosses when its extreme (np.min or np.max of its values) is
-    `crossed`.  Each block's values are put in index order, cut at the range
-    ends and folded into the extreme so far and the first assignment
+    `crossed`.  Each block's values, already in index order, are cut at the
+    range ends and folded into the extreme so far and the first assignment
     reaching it, and the limit is tested at each range end.  As `crossed`
     tests a limit, that extreme first crosses at the end of the first range
     that crosses, and the assignment lies in that range.  Returns (index,
@@ -275,13 +245,9 @@ def _scan(rot: np.ndarray, blocks, value, extreme, crossed, members):
     """
     found = None  # (index, shifts, extreme, index + 1)
     scanned = 0
-    pool = {}
     for start, prefix, last in blocks:
-        vals = value(_stack(rot, prefix, last, members, pool))
-        width = 1
-        if last is not None:  # shift-major, see _stack
-            width = len(last)
-            vals = vals.reshape(width, -1).T.ravel()
+        vals = value(_stack(rot, prefix, last, members))
+        width = 1 if last is None else len(last)
         pos = 0
         while pos < vals.size:
             offset = (start + pos) % _BATCH
@@ -384,7 +350,7 @@ def _max_packed_run(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def _chunk_ranges(n: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, n))
+    jobs = min(jobs, n)
     step = -(-n // jobs)
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
@@ -410,11 +376,13 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
 
     Equivalent to the stacked matrix always containing a k-by-k permutation
     submatrix.  Exhaustive mode pins the first shift to 0 and enumerates the
-    remaining period^(k-1) assignments (capped), split over `jobs` processes
-    by the second shift; random mode samples full assignments from a seeded
-    generator.  Reports the lexicographically earliest violating assignment
-    (exhaustive) or the first drawn (random).
+    remaining period^(k-1) assignments (capped), split over `jobs` >= 1
+    processes by the second shift; random mode samples full assignments
+    from a seeded generator.  Reports the lexicographically earliest
+    violating assignment (exhaustive) or the first drawn (random).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     n = s.period
     k = len(s)
     if k == 1:

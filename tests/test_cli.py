@@ -208,6 +208,23 @@ class TestVerify:
         crt0_set(13, 25).save(str(f))   # 325^12 assignments, way past the cap
         assert run("verify", "ui", "--set", str(f)) == 2
 
+    @pytest.mark.parametrize("argv, samples", [
+        (["ui"], "-5"),
+        (["ui"], "0"),
+        (["cf-count", "--protected", "g0", "--threshold", "1"], "0"),
+    ])
+    def test_empty_random_audit_is_usage_error(self, argv, samples, capsys):
+        assert run("verify", *argv, "--config", '{"construction":"crt0","p":3,"q":5}',
+                   "--mode", "random", "--samples", samples, "--seed", "1") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: random mode needs samples >= 1, got {samples}" in err
+
+    def test_jobs_below_one_is_usage_error(self, capsys):
+        assert run("verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}',
+                   "--jobs", "-3") == 2
+        assert "error: jobs must be at least 1, got -3" in capsys.readouterr().err
+
 
 class TestAlloc:
     def test_cluster_summary(self, capsys):
@@ -226,6 +243,12 @@ class TestAlloc:
 
     def test_missing_flags(self):
         assert run("alloc", "--r", "500") == 2
+
+    @pytest.mark.parametrize("cell", ["1", "a,b", "1,2,3"])
+    def test_malformed_cell(self, cell, capsys):
+        assert run("alloc", "--r", "20", "--h", "1", "--cell", cell) == 2
+        assert (f"error: --cell must be two integers m,n, got '{cell}'"
+                in capsys.readouterr().err)
 
 
 class TestParams:
@@ -387,10 +410,28 @@ class TestUnreadCommonFlags:
         assert "--seed" not in err
 
     def test_verify_ui_is_silent(self, capsys):
-        # exhaustive mode draws nothing, so the seed goes with random mode
+        # exhaustive mode draws nothing, so the seed goes with random mode,
+        # which does not split its scan over --jobs
         assert run("verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}',
-                   "--jobs", "1", "--seed", "3", "--mode", "random", "--samples", "50") == 0
+                   "--seed", "3", "--mode", "random", "--samples", "50") == 0
         assert "warning" not in capsys.readouterr().err
+
+    def test_jobs_warns_on_random_verify_ui(self, capsys):
+        argv = ["verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}']
+        assert run(*argv, "--jobs", "1") == 0
+        assert "warning" not in capsys.readouterr().err
+        sampled = [*argv, "--mode", "random", "--samples", "50", "--seed", "3"]
+        assert run(*sampled) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert run(*sampled, "--jobs", "2") == 0
+        out, err = capsys.readouterr()
+        assert err.count("warning:") == 1
+        assert ("warning: --jobs has no effect on 'verify ui' in random mode; "
+                "only exhaustive scans are split") in err
+        report = json.loads(out)
+        for doc in (report, plain):
+            del doc["manifest"]
+        assert report == plain
 
     @pytest.mark.parametrize("argv, where", [
         (["verify", "xcorr", "--bound", "1"], "'verify xcorr'"),

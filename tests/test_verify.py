@@ -151,6 +151,27 @@ class TestIsUi:
         with pytest.raises(ValueError):
             is_ui(crt0_set(3, 5), mode="guess")
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one(self, mode, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            is_ui(crt0_set(3, 5), mode=mode, samples=10, seed=1, jobs=jobs)
+
+
+class TestEmptyRandomAudits:
+    """A random audit that draws nothing cannot say "holds"."""
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("audit", [
+        is_ui,
+        lambda s, **kw: window_audit(s, window=6, **kw),
+        lambda s, **kw: min_conflict_free_count(s, ["g0"], threshold=1, **kw),
+        lambda s, **kw: max_conflict_free_gap(s, ["g0"], bound=15, **kw),
+    ], ids=["ui", "window", "count", "gap"])
+    def test_rejected(self, audit, samples):
+        with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
+            audit(crt0_set(3, 5), mode="random", samples=samples, seed=1)
+
 
 class TestDenseFallback:
     # members with more ones than one 64-bit word holds, so their ones span
@@ -676,17 +697,22 @@ class TestBlockBudget:
         assert [(start, p.tolist(), last) for start, p, last in blocks] == \
             [(65 * i, [[0, i]], range(65)) for i in range(65)]
 
-    @pytest.mark.parametrize("members", [None, [0, 2]])
-    def test_tail_block_reuses_the_pool(self, members):
-        s, _ = small_family(3, 700, 3)
-        rot, pool = _rotations(s), {}
-        draw = np.random.default_rng(1).integers(0, 700, size=(30, 3))
-        head = _stack(rot, draw[:20], members=members, pool=pool)
-        held = dict(pool)
-        tail = _stack(rot, draw[20:], members=members, pool=pool)
-        assert all(pool[name] is buf for name, buf in held.items()) and pool.keys() == held.keys()
-        assert np.shares_memory(head, tail)
-        assert (tail == _stack(rot, draw[20:], members=members)).all()
+
+class TestJoinOrder:
+    """A joined exhaustive block lists its assignments in index order."""
+
+    @pytest.mark.parametrize("members", [None, slice(None), [2, 0, 2]],
+                             ids=["occupied", "all", "repeated"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_joined_blocks_match_full_rows(self, n, members):
+        # the same assignments written out as full rows, one per assignment,
+        # the way random mode stacks them
+        s, _ = small_family(5, n, 3)
+        rot = _rotations(s)
+        for _, prefix, last in _assignment_batches(n, 3, "exhaustive"):
+            full = np.column_stack([np.repeat(prefix, len(last), axis=0),
+                                    np.tile(np.asarray(last), len(prefix))])
+            assert (_stack(rot, prefix, last, members) == _stack(rot, full, None, members)).all()
 
 
 class TestSmallBatches:
