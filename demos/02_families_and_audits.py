@@ -32,8 +32,9 @@ print(f"quiet column in every window of {rep.stats['window']}: {rep.verdict} "
 print("spacing between consecutive 1s:",
       separation_audit(family).stats)
 
-# The same audits scale up; the 5-member family has 45^4 shift assignments
-# and still checks exhaustively in well under a second.
+# The same audits scale up; the 5-member family has 45^4 shift assignments.
+# Each member's weight, 5, exceeds the sum of its cross-correlation peaks
+# against the other four, so is_ui proves "holds" without enumerating them.
 big = crt0_set(5, 9)
 rep = is_ui(big, jobs=4)
 print(f"\ncrt0(5,9): {rep.verdict} over {rep.samples} assignments")

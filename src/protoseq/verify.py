@@ -114,6 +114,13 @@ def _check_cap(n: int, k: int, cap: int) -> int:
     return states
 
 
+def _check_mode(mode: str, samples: int) -> None:
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
+    if mode == "random" and samples < 1:
+        raise ValueError(f"random mode needs samples >= 1, got {samples}")
+
+
 def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
                         seed: int | None = None, cap: int = DEFAULT_STATE_CAP,
                         lo: int = 0, hi: int | None = None):
@@ -129,6 +136,7 @@ def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
     draws `samples` >= 1 seeded assignments _BATCH at a time and cuts each
     draw into blocks, one assignment per row of `prefix`, with `last` None.
     """
+    _check_mode(mode, samples)
     per = max(1, _BATCH // -(-n // 64))  # assignments per block
     if mode == "exhaustive":
         _check_cap(n, k, cap)
@@ -143,9 +151,7 @@ def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
                 idx, prefix[:, col] = np.divmod(idx, len(digits[col]))
                 prefix[:, col] += digits[col].start
             yield first * len(last), prefix, last
-    elif mode == "random":
-        if samples < 1:
-            raise ValueError(f"random mode needs samples >= 1, got {samples}")
+    else:
         rng = np.random.default_rng(seed)
         done = 0
         while done < samples:
@@ -153,8 +159,6 @@ def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
             for i in range(0, len(draw), per):
                 yield done + i, draw[i:i + per], None
             done += len(draw)
-    else:
-        raise ValueError(f"mode must be 'exhaustive' or 'random', got {mode!r}")
 
 
 def _rotations(s: SequenceSet) -> np.ndarray:
@@ -369,20 +373,38 @@ def _scan_ui(args: tuple) -> tuple[int | None, list[int] | None, int | None]:
     return index, shifts, least
 
 
+def _peaks_certify_ui(s: SequenceSet) -> bool:
+    """True when pairwise peaks alone prove that is_ui holds.
+
+    At any relative shift member j covers at most peak(i, j) of member i's
+    1s, so a member whose weight exceeds the sum of its peaks against all
+    others keeps a conflict-free 1 under every assignment.  False proves
+    nothing: the shift space must then be scanned.
+    """
+    first, second, peak, _ = pairwise_xcorr_peaks(s.sequences)
+    covered = np.bincount(first, peak, len(s)) + np.bincount(second, peak, len(s))
+    return bool((np.array([x.weight for x in s.sequences]) > covered).all())
+
+
 def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
           seed: int | None = None, jobs: int = 1,
           state_cap: int = DEFAULT_STATE_CAP) -> VerifyReport:
     """Check that every member keeps a conflict-free 1 under any shifts.
 
     Equivalent to the stacked matrix always containing a k-by-k permutation
-    submatrix.  Exhaustive mode pins the first shift to 0 and enumerates the
-    remaining period^(k-1) assignments (capped), split over `jobs` >= 1
-    processes by the second shift; random mode samples full assignments
-    from a seeded generator.  Reports the lexicographically earliest
-    violating assignment (exhaustive) or the first drawn (random).
+    submatrix.  Exhaustive mode pins the first shift to 0, so the space
+    holds period^(k-1) assignments (capped).  It first tries a counting
+    certificate: if every member's weight exceeds the sum of its pairwise
+    cross-correlation peaks against the others, "holds" is proved without
+    enumeration.  Otherwise it enumerates the space, split over `jobs` >= 1
+    processes by the second shift, and reports the lexicographically
+    earliest violating assignment.  Random mode samples full assignments
+    from a seeded generator and reports the first violating one drawn, or
+    the least conflict-free count seen.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_mode(mode, samples)
     n = s.period
     k = len(s)
     if k == 1:
@@ -391,10 +413,13 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
         return VerifyReport("ui", "exhaustive", 1, None, verdict, ce,
                             {"members": 1, "period": n})
 
-    rot = _rotations(s)
     stats = {"members": k, "period": n}
     if mode == "exhaustive":
         states = _check_cap(n, k, state_cap)
+        stats["pinned_first_shift"] = True
+        if _peaks_certify_ui(s):
+            return VerifyReport("ui", "exhaustive", states, None, "holds", None, stats)
+        rot = _rotations(s)
         args = [(rot, mode, 0, None, state_cap, lo, hi)
                 for lo, hi in _chunk_ranges(n, jobs)]
         if len(args) == 1:
@@ -408,10 +433,9 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
         ce = next((shifts for _, shifts, _ in found if shifts is not None), None)
         return VerifyReport("ui", "exhaustive", states, None,
                             "holds" if ce is None else "violated",
-                            None if ce is None else {"shifts": ce},
-                            {**stats, "pinned_first_shift": True})
+                            None if ce is None else {"shifts": ce}, stats)
 
-    index, ce, least = _scan_ui((rot, mode, samples, seed, state_cap, 0, None))
+    index, ce, least = _scan_ui((_rotations(s), mode, samples, seed, state_cap, 0, None))
     if ce is not None:
         return VerifyReport("ui", "random", index + 1, seed, "violated",
                             {"shifts": ce}, stats)

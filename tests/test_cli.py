@@ -220,6 +220,14 @@ class TestVerify:
         assert out == ""
         assert f"error: random mode needs samples >= 1, got {samples}" in err
 
+    def test_single_member_random_audit_is_usage_error(self, capsys):
+        assert run("verify", "ui", "--config",
+                   '{"sequences":[{"period":5,"ones":[2],"label":"solo"}]}',
+                   "--mode", "random", "--samples", "-5") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: random mode needs samples >= 1, got -5" in err
+
     def test_jobs_below_one_is_usage_error(self, capsys):
         assert run("verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}',
                    "--jobs", "-3") == 2

@@ -127,6 +127,15 @@ class TestIsUi:
         s = SequenceSet((BinarySequence(5, (2,)),), ("solo",))
         assert is_ui(s).holds
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(mode="random", samples=-5), "samples >= 1, got -5"),
+        (dict(mode="guess"), "mode must be"),
+    ])
+    def test_single_member_checks_arguments(self, kw, message):
+        s = SequenceSet((BinarySequence(5, (2,)),), ("solo",))
+        with pytest.raises(ValueError, match=message):
+            is_ui(s, **kw)
+
     def test_random_mode_reproducible(self):
         s = crt0_set(3, 5)
         a = is_ui(s, mode="random", samples=500, seed=7)
@@ -156,6 +165,72 @@ class TestIsUi:
     def test_jobs_below_one(self, mode, jobs):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             is_ui(crt0_set(3, 5), mode=mode, samples=10, seed=1, jobs=jobs)
+
+
+class TestPeakCertificate:
+    """Exhaustive is_ui proves "holds" from pairwise peaks where it can."""
+
+    BLOCK_COMB = SequenceSet((BinarySequence(130, tuple(range(64))),
+                              BinarySequence(130, tuple(range(0, 128, 2)))),
+                             ("block", "comb"))
+    # holds, but each member's weight, 4, does not exceed its summed peaks
+    UNCERTIFIED = SequenceSet((BinarySequence(15, (5, 6, 12, 14)),
+                               BinarySequence(15, (2, 6, 10, 14)),
+                               BinarySequence(15, (0, 3, 4, 14))), ("a", "b", "c"))
+
+    @pytest.mark.parametrize("s, jobs", [
+        (crt0_set(3, 5), 1),
+        (crt0_set(5, 9), 1),
+        (crt0_set(5, 9), 2),
+        (BLOCK_COMB, 1),
+    ], ids=["crt0_3_5", "crt0_5_9", "crt0_5_9_jobs2", "block_comb"])
+    def test_scan_gives_the_certified_report(self, monkeypatch, s, jobs):
+        assert verify._peaks_certify_ui(s)
+        certified = is_ui(s, jobs=jobs).to_json()
+        monkeypatch.setattr(verify, "_peaks_certify_ui", lambda s: False)
+        assert is_ui(s, jobs=jobs).to_json() == certified
+
+    def test_certified_families_hold(self):
+        # every family the certificate proves must hold by the dense oracle
+        certified = []
+
+        def check(s):
+            if verify._peaks_certify_ui(s):
+                certified.append(s)
+                want = oracle_reports(s, "exhaustive", 0, None, [s.labels[0]],
+                                      0, s.period, s.period)
+                assert want["ui"]["verdict"] == "holds"
+                assert is_ui(s).to_json() == want["ui"]
+
+        @settings(derandomize=True, max_examples=60, deadline=None)
+        @given(word_edge_families(exhaustive=True))
+        def check_word_edges(case):
+            check(case[0])
+
+        check_word_edges()
+        edges = len(certified)
+        for seed, n, k in itertools.product(range(12), (9, 13, 17), (2, 3)):
+            check(small_family(seed, n, k)[0])
+        assert edges and len(certified) > edges
+
+    def test_jobs_equivalence_holds_by_scan(self):
+        s = self.UNCERTIFIED
+        assert brute_force_ui(s) is None
+        assert not verify._peaks_certify_ui(s)
+        a = is_ui(s, jobs=1)
+        assert a.holds
+        assert a.to_json() == is_ui(s, jobs=2).to_json()
+
+    def test_certified_family_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert is_ui(crt0_set(5, 9), jobs=4).holds
+        with pytest.raises(AssertionError, match="process pool started"):
+            is_ui(self.UNCERTIFIED, jobs=2)
 
 
 class TestEmptyRandomAudits:
