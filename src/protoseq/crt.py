@@ -6,13 +6,14 @@ verifiers and the allocator can recover parameters without re-deriving them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import (BinarySequence, SequenceSet, _is_prime, _require_coprime,
-                        crt_unmap, pairwise_xcorr_peaks)
+from .sequences import (BinarySequence, SequenceSet, _crt_units, _is_prime,
+                        _require_coprime, crt_unmap, pairwise_xcorr_peaks)
 
 __all__ = [
     "crt_set",
@@ -94,17 +95,30 @@ def product(x: BinarySequence, y: BinarySequence) -> BinarySequence:
     when x holds a 1 at l mod period(x) and y at l mod period(y); its weight
     is w(x)*w(y).  Shifting either factor shifts the product accordingly.
     """
-    px, py = x.period, y.period
+    return _products(x, [y])[0]
+
+
+def _products(x: BinarySequence, ys: list[BinarySequence]) -> list[BinarySequence]:
+    """product(x, y) for every y of ys, which share a period, in one pass."""
+    if not ys:
+        return []
+    px, py = x.period, ys[0].period
     if math.gcd(px, py) != 1:
         raise ValueError(f"factor periods must be coprime, got ({px}, {py})")
-    # crt_unmap over every pair at once: l = a*ey + b*ex mod px*py, where ey
-    # is 1 mod px and 0 mod py, and ex the other way round
+    # crt_unmap over every pair at once: l = a*ex + b*ey mod px*py, where ex
+    # is 1 mod px and 0 mod py, and ey the other way round; y's products are
+    # keyed to [y*n, (y+1)*n), so one sort orders each within its own range
     n = px * py
-    ey, ex = py * pow(py, -1, px) % n, px * pow(px, -1, py) % n
+    ex, ey = _crt_units(px, py)
+    sizes = [y.weight for y in ys]
     a = np.asarray(x.ones, dtype=np.int64)
-    b = np.asarray(y.ones, dtype=np.int64)
-    ones = np.sort(((a[:, None] * ey + b[None, :] * ex) % n).ravel())
-    return BinarySequence(n, tuple(ones.tolist()))
+    b = np.fromiter(itertools.chain.from_iterable(y.ones for y in ys),
+                    dtype=np.int64, count=sum(sizes))
+    base = np.repeat(np.arange(len(ys)) * n, sizes)
+    keys = np.sort(((b[:, None] * ey + a * ex) % n + base[:, None]).ravel())
+    ones = (keys % n).tolist()
+    cuts = [0, *itertools.accumulate(w * x.weight for w in sizes)]
+    return [BinarySequence(n, tuple(ones[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
 @dataclass
@@ -178,20 +192,14 @@ def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
         )
 
     spacing = crt0_set(p, 2 * p - 1)
-    ones_seq = all_ones(spread)
-    guard_labels, open_labels, seqs, labels = [], [], [], []
+    guard_labels, seqs = [], []
     for (clabel, cseq), slabel in zip(spacing, spec.split_labels):
-        lab = f"{clabel}*{slabel}"
+        guard_labels.append(f"{clabel}*{slabel}")
         seqs.append(product(cseq, base.get(slabel)))
-        labels.append(lab)
-        guard_labels.append(lab)
-    for lab in base.labels:
-        if lab in spec.split_labels:
-            continue
-        out = f"U*{lab}"
-        seqs.append(product(ones_seq, base.get(lab)))
-        labels.append(out)
-        open_labels.append(out)
+    rest = [(lab, seq) for lab, seq in base if lab not in spec.split_labels]
+    open_labels = [f"U*{lab}" for lab, _ in rest]
+    seqs += _products(all_ones(spread), [seq for _, seq in rest])
+    labels = guard_labels + open_labels
 
     meta = {
         "construction": "expanded",
@@ -221,11 +229,15 @@ def select_expansion_base(p: int, M: int, k: int = 3, field_cap: int = 997) -> t
     """
     spread = p * (2 * p - 1)
     n_min = (k - 1) * (M - 1) + 1
+    n_lo = max(n_min, k + 1)
     best = None
     for f in range(3, field_cap + 1):
+        if best is not None and n_lo * f >= best[0]:
+            # every later field has period >= n_lo*f and loses the field tie
+            break
         if not _is_prime(f):
             continue
-        for n in range(max(n_min, k + 1), f):
+        for n in range(n_lo, f):
             if (f - 1) % n != 0 or math.gcd(spread, n * f) != 1:
                 continue
             cand = (n * f, f, n)

@@ -14,9 +14,10 @@ comparison table built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
-from .sequences import BinarySequence, SequenceSet, _is_prime, crt_unmap
+import numpy as np
+
+from .sequences import BinarySequence, SequenceSet, _crt_units, _is_prime
 
 __all__ = [
     "RsCpcParams",
@@ -98,17 +99,14 @@ def rs_cpc(params: RsCpcParams) -> SequenceSet:
     n, p, k = params.n, params.p, params.k
     alpha = params.resolved_alpha()
     points = [pow(alpha, j, p) for j in range(n)]
-    powers = [[pow(x, i, p) for i in range(k)] for x in points]
-    seqs, labels = [], []
-    for m in iproduct(range(p), repeat=k - 2):
-        ones = []
-        for j in range(n):
-            row = powers[j][1]
-            for i, mi in enumerate(m, start=2):
-                row = (row + mi * powers[j][i]) % p
-            ones.append(crt_unmap((row, j), p, n))
-        seqs.append(BinarySequence(n * p, tuple(sorted(ones))))
-        labels.append(",".join(map(str, m)) if m else "x")
+    # messages in lexicographic order, one row each, against x^2..x^(k-1)
+    msgs = np.indices((p,) * (k - 2)).reshape(k - 2, -1).T
+    powers = np.array([[pow(x, i, p) for x in points] for i in range(2, k)])
+    rows = (msgs @ powers + points) % p
+    e_row, e_col = _crt_units(p, n)
+    ones = np.sort((rows * e_row + np.arange(n) * e_col) % (n * p), axis=1)
+    seqs = [BinarySequence(n * p, tuple(o)) for o in ones.tolist()]
+    labels = [",".join(map(str, m)) for m in msgs.tolist()]
     meta = {"construction": "rs_cpc", "n": n, "p": p, "k": k, "alpha": alpha}
     return SequenceSet(tuple(seqs), tuple(labels), meta)
 

@@ -10,6 +10,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -42,10 +43,10 @@ class BinarySequence:
     def __post_init__(self) -> None:
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        ones = tuple(int(x) for x in self.ones)
-        if any(x < 0 or x >= self.period for x in ones):
+        ones = tuple(map(int, self.ones))
+        if ones and (min(ones) < 0 or max(ones) >= self.period):
             raise ValueError("ones positions must lie in [0, period)")
-        if sorted(set(ones)) != list(ones):
+        if not all(map(operator.lt, ones, ones[1:])):
             raise ValueError("ones must be strictly increasing and unique")
         object.__setattr__(self, "ones", ones)
 
@@ -132,34 +133,39 @@ def xcorr_profile(x: BinarySequence, y: BinarySequence) -> np.ndarray:
 def pairwise_xcorr_peaks(seqs: Sequence[BinarySequence]) -> tuple[np.ndarray, ...]:
     """Peak cross-correlation of every pair i < j, pairs in lexicographic order.
 
-    Returns arrays (i, j, peak, shift): peak is the maximum over t of
+    Returns int64 arrays (i, j, peak, shift): peak is the maximum over t of
     xcorr_profile(seqs[i], seqs[j])[t] and shift the first t reaching it.
     Each member's profiles against all later members come from one bincount.
     """
     if len({x.period for x in seqs}) > 1:
         raise ValueError("sequences must share a period")
     k = len(seqs)
+    first, second = (a.astype(np.int64) for a in np.triu_indices(k, 1))
+    peak, shift = np.zeros_like(first), np.zeros_like(first)
     if k < 2:
-        return tuple(np.zeros((4, 0), dtype=np.int64))
+        return first, second, peak, shift
     n = seqs[0].period
+    # d = a + n - b lies in [1, 2n), so in the narrowest unsigned type holding
+    # it d - n wraps above every residue when d < n, and min(d, d - n) is
+    # (a - b) mod n; each later member's residues then get their own n bins
+    dt = np.min_scalar_type(2 * n - 1).type
     sizes = [x.weight for x in seqs]
     flat = np.fromiter(itertools.chain.from_iterable(x.ones for x in seqs),
-                       dtype=np.int64, count=sum(sizes))
+                       dtype=dt, count=sum(sizes))
     bounds = np.cumsum([0, *sizes])
-    # a - b + n lies in [1, 2n), so one bincount with two bins of n per later
-    # member, folded, counts (a - b) mod n without a modulo: entry b of member
-    # m is keyed by b - n(2m + 1), and a of member i by a - 2n(i + 1)
-    key = flat - n * (2 * np.repeat(np.arange(k), sizes) + 1)
-    parts = []
+    base = np.repeat(np.arange(k) * n, sizes)
+    at = 0
     for i in range(k - 1):
-        diffs = (flat[bounds[i]:bounds[i + 1], None] - 2 * n * (i + 1)) - key[bounds[i + 1]:]
-        prof = np.bincount(diffs.ravel(), minlength=2 * n * (k - i - 1))
-        prof = prof.reshape(-1, 2, n).sum(axis=1)
-        shift = prof.argmax(axis=1)
-        parts.append(np.stack([np.full(k - i - 1, i), np.arange(i + 1, k),
-                               np.take_along_axis(prof, shift[:, None], axis=1)[:, 0],
-                               shift]))
-    return tuple(np.concatenate(parts, axis=1))
+        m, later = k - i - 1, bounds[i + 1]
+        d = (flat[bounds[i]:later, None] + dt(n)) - flat[later:]
+        np.minimum(d, d - dt(n), out=d)
+        prof = np.bincount((d + (base[later:] - (i + 1) * n)).ravel(),
+                           minlength=m * n).reshape(m, n)
+        row = slice(at, at + m)
+        shift[row] = prof.argmax(axis=1)
+        peak[row] = prof[np.arange(m), shift[row]]
+        at += m
+    return first, second, peak, shift
 
 
 def cyclic_min_distance(seqs: Sequence[BinarySequence]) -> int:
@@ -209,12 +215,20 @@ def crt_unmap(pair: tuple[int, int], p: int, q: int) -> int:
     """Inverse of crt_map: the unique l in [0, pq) with the given residues."""
     _require_coprime(p, q)
     r, c = pair
-    return (r * q * pow(q, -1, p) + c * p * pow(p, -1, q)) % (p * q)
+    e_p, e_q = _crt_units(p, q)
+    return (r * e_p + c * e_q) % (p * q)
 
 
 def json_text(doc) -> str:
     """The package's JSON data format: two-space indent, sorted keys, final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _crt_units(p: int, q: int) -> tuple[int, int]:
+    """(e_p, e_q) for coprime p, q: e_p is 1 mod p and 0 mod q, e_q the other
+    way round, so r*e_p + c*e_q mod pq has residues (r mod p, c mod q)."""
+    n = p * q
+    return q * pow(q, -1, p) % n, p * pow(p, -1, q) % n
 
 
 def _require_coprime(p: int, q: int) -> None:

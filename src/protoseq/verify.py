@@ -557,10 +557,12 @@ def xcorr_bound_audit(s: SequenceSet, bound: int) -> VerifyReport:
     The counterexample is the first pair reaching the largest peak, at its
     first peak shift; pairs that never meet are not reported.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     first, second, peak, shift = pairwise_xcorr_peaks(s.sequences)
     worst = int(peak.max(initial=0))
     ce = None
-    if worst > max(bound, 0):
+    if worst > bound:
         pair = int(np.argmax(peak))
         ce = {"pair": [s.labels[first[pair]], s.labels[second[pair]]],
               "shift": int(shift[pair]), "value": worst}

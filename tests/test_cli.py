@@ -136,6 +136,13 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["counterexample"]["value"] == 2
 
+    def test_xcorr_negative_bound_is_usage_error(self, capsys):
+        cfg = '{"sequences":[{"period":5,"ones":[2],"label":"solo"}]}'
+        assert run("verify", "xcorr", "--config", cfg, "--bound", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: bound must be >= 0, got -1" in captured.err
+
     def test_separation_default_bound(self, tmp_path):
         f = tmp_path / "s.json"
         crt0_set(5, 9).save(str(f))

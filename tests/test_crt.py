@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from protoseq.crt import (ExpandedSetSpec, all_ones, crt0_set, crt_set,
                           expanded_set, product, select_expansion_base)
 from protoseq.rscpc import RsCpcParams, rs_cpc
-from protoseq.sequences import (BinarySequence, crt_unmap, cyclic_shift,
-                                hamming_xcorr, xcorr_profile)
+from protoseq.sequences import (BinarySequence, SequenceSet, crt_unmap,
+                                cyclic_shift, hamming_xcorr, xcorr_profile)
 
 
 class TestCrtSet:
@@ -193,3 +193,21 @@ class TestExpandedSet:
         base_ones = set(base.get(src).ones)
         assert {x % 136 for x in member.ones} == base_ones
         assert {x % 15 for x in member.ones} == set(range(15))
+
+    def test_every_member_is_the_product_of_its_factors(self):
+        # period 11 is coprime to p(2p-1) = 15; weights 0..3 keep every
+        # peak within k-1 = 3, and n = 7 >= (k-1)(M-1)+1
+        ones = {"a": (1, 4, 9), "b": (), "c": (0, 2), "d": (5,),
+                "e": (0, 3, 4), "f": (), "g": (2, 6, 7), "h": (8, 10)}
+        base = SequenceSet(tuple(BinarySequence(11, o) for o in ones.values()),
+                           tuple(ones), {"n": 7, "k": 4})
+        split = ["c", "b", "e"]
+        es = expanded_set(ExpandedSetSpec(base_set=base, p=3, M=3, split_labels=split))
+        assert es.labels == ("g0*c", "g2*b", "**e", "U*a", "U*d", "U*f", "U*g", "U*h")
+        factors = [*zip(crt0_set(3, 5).sequences, split),
+                   *((all_ones(15), lab) for lab in "adfgh")]
+        for member, (x, lab) in zip(es.sequences, factors):
+            y = base.get(lab)
+            assert member == product(x, y)
+            oracle = sorted(crt_unmap((a, b), 15, 11) for a in x.ones for b in y.ones)
+            assert member.ones == tuple(oracle)

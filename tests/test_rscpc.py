@@ -1,4 +1,5 @@
 import math
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -7,8 +8,29 @@ from protoseq.rscpc import (ParamSearchError, RsCpcParams, element_of_order,
                             length_bounds, pad_set, pad_silent, rs_cpc,
                             select_params_prop1, select_params_prop2,
                             tdma_set)
-from protoseq.sequences import (cyclic_order, cyclic_shift, min_separation,
+from protoseq.sequences import (BinarySequence, SequenceSet, crt_unmap,
+                                cyclic_order, cyclic_shift, min_separation,
                                 xcorr_profile)
+
+
+def rs_cpc_oracle(params):
+    """Slow oracle for rs_cpc: one message, column and crt_unmap at a time."""
+    n, p, k = params.n, params.p, params.k
+    alpha = params.resolved_alpha()
+    points = [pow(alpha, j, p) for j in range(n)]
+    powers = [[pow(x, i, p) for i in range(k)] for x in points]
+    seqs, labels = [], []
+    for m in iproduct(range(p), repeat=k - 2):
+        ones = []
+        for j in range(n):
+            row = powers[j][1]
+            for i, mi in enumerate(m, start=2):
+                row = (row + mi * powers[j][i]) % p
+            ones.append(crt_unmap((row, j), p, n))
+        seqs.append(BinarySequence(n * p, tuple(sorted(ones))))
+        labels.append(",".join(map(str, m)))
+    meta = {"construction": "rs_cpc", "n": n, "p": p, "k": k, "alpha": alpha}
+    return SequenceSet(tuple(seqs), tuple(labels), meta)
 
 
 class TestElementOfOrder:
@@ -63,6 +85,13 @@ class TestRsCpcConstruction:
                 worst = max(worst, int(xcorr_profile(s.sequences[i],
                                                      s.sequences[j]).max()))
         assert worst <= 2                 # k - 1
+
+    @pytest.mark.parametrize("params", [
+        RsCpcParams(n=5, p=11, k=3), RsCpcParams(n=4, p=5, k=3, alpha=3),
+        RsCpcParams(n=6, p=7, k=4), RsCpcParams(n=6, p=7, k=5),
+        RsCpcParams(n=16, p=17, k=4)], ids=str)
+    def test_matches_scalar_oracle(self, params):
+        assert rs_cpc(params).to_json() == rs_cpc_oracle(params).to_json()
 
     def test_cyclically_distinct(self):
         s = rs_cpc(RsCpcParams(n=5, p=11, k=3))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from protoseq.sequences import (BinarySequence, SequenceSet, crt_map,
                                 crt_unmap, cyclic_min_distance, cyclic_order,
                                 cyclic_shift, hamming_xcorr, min_separation,
-                                xcorr_profile)
+                                pairwise_xcorr_peaks, xcorr_profile)
 
 
 def seq(period, ones):
@@ -43,6 +43,20 @@ class TestBinarySequence:
             seq(4, [4])
         with pytest.raises(ValueError):
             seq(4, [1, 1])
+        in_range = "ones positions must lie in \\[0, period\\)"
+        increasing = "ones must be strictly increasing and unique"
+        # a list both out of range and out of order gets the range message
+        with pytest.raises(ValueError, match=in_range):
+            seq(4, [5, 1])
+        with pytest.raises(ValueError, match=in_range):
+            seq(4, [2, -1])
+        with pytest.raises(ValueError, match=increasing):
+            seq(4, [3, 3])
+        with pytest.raises(ValueError, match=increasing):
+            seq(4, [2, 1])
+        x = seq(5, np.array([1, 3], dtype=np.int64))
+        assert x.ones == (1, 3) and all(type(o) is int for o in x.ones)
+        assert seq(3, []).ones == () and seq(3, []).weight == 0
 
     def test_from_bits_roundtrip(self):
         x = BinarySequence.from_bits([0, 1, 1, 0, 1])
@@ -112,6 +126,49 @@ class TestXcorr:
         y = seq(6, [0, 3])
         # max correlation of {0,2} vs {0,3} is 1 -> distance 2+2-2 = 2
         assert cyclic_min_distance([x, y]) == 2
+
+
+@st.composite
+def families(draw):
+    """2 to 8 members of one period in [1, 70], each of any weight from 0."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    k = draw(st.integers(min_value=2, max_value=8))
+    return [BinarySequence(n, tuple(sorted(draw(st.sets(
+        st.integers(min_value=0, max_value=n - 1), max_size=n))))) for _ in range(k)]
+
+
+class TestPairwiseXcorrPeaks:
+    @given(families())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_profile_of_every_pair(self, seqs):
+        first, second, peak, shift = pairwise_xcorr_peaks(seqs)
+        pairs = [(i, j) for i in range(len(seqs)) for j in range(i + 1, len(seqs))]
+        assert list(zip(first.tolist(), second.tolist())) == pairs
+        for (i, j), pk, t in zip(pairs, peak.tolist(), shift.tolist()):
+            prof = xcorr_profile(seqs[i], seqs[j])
+            assert (pk, t) == (int(prof.max()), int(prof.argmax()))
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 32767, 32768, 32769])
+    def test_residue_type_boundaries(self, n):
+        # residues are formed in the narrowest unsigned type holding 2n - 1;
+        # these periods put a + n - b on either side of a type's range
+        seqs = [seq(n, [0, 1, n // 2, n - 1]), seq(n, [n - 2, n - 1]),
+                seq(n, [0, n // 3, n - 1])]
+        first, second, peak, shift = pairwise_xcorr_peaks(seqs)
+        for i, j, pk, t in zip(first, second, peak, shift):
+            prof = xcorr_profile(seqs[i], seqs[j])
+            assert (pk, t) == (prof.max(), prof.argmax())
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_dtype_and_shape(self, k):
+        out = pairwise_xcorr_peaks([seq(7, [0, 3])] * k)
+        assert len(out) == 4
+        for a in out:
+            assert a.dtype == np.int64 and a.shape == (k * (k - 1) // 2,)
+
+    def test_periods_must_match(self):
+        with pytest.raises(ValueError):
+            pairwise_xcorr_peaks([seq(5, [0]), seq(6, [0])])
 
 
 class TestOrderSeparation:

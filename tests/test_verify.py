@@ -458,6 +458,11 @@ class TestXcorrBoundAudit:
         assert r.verdict == "violated"
         assert r.counterexample == {"pair": ["g0", "g2"], "shift": 0, "value": 2}
 
+    def test_negative_bound_is_rejected(self):
+        solo = SequenceSet((BinarySequence(5, (2,)),), ("solo",))
+        with pytest.raises(ValueError, match="bound must be >= 0, got -1"):
+            xcorr_bound_audit(solo, -1)
+
 
 class TestSeparationAudit:
     def test_default_bound_from_meta(self):
