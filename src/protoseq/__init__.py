@@ -12,7 +12,8 @@ from .crt import (ExpandedSetSpec, all_ones, crt0_set, crt_set, expanded_set,
                   product, select_expansion_base)
 from .config import sequences_from_config
 from .hexalloc import (HexCell, PositionLogEntry, ReusePlan, cell_center,
-                       cell_distance, check_fermion, cluster_size, quantize)
+                       cell_distance, check_fermion, cluster_size, quantize,
+                       quantize_many)
 from .netsim import (SPEED_OF_LIGHT, BlockFreeReport, ReceptionLog, Scenario,
                      TimingModel, User, adversarial_offset_search,
                      check_block_free, delta_p, frame_offset_audit,
@@ -50,7 +51,7 @@ __all__ = [
     "max_conflict_free_gap", "zero_column_window", "window_audit",
     "xcorr_bound_audit", "separation_audit",
     # geometry and allocation
-    "HexCell", "cell_center", "quantize", "cell_distance", "cluster_size",
+    "HexCell", "cell_center", "quantize", "quantize_many", "cell_distance", "cluster_size",
     "ReusePlan", "PositionLogEntry", "check_fermion",
     # simulation
     "SPEED_OF_LIGHT", "delta_p", "TimingModel", "User", "Scenario",

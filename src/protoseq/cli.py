@@ -60,9 +60,11 @@ def _emit(doc: dict, args: argparse.Namespace, manifest: dict) -> None:
         sys.stdout.write(text)
 
 
-def _write_sidecar(out_path: str, manifest: dict, outputs: list[str]) -> None:
+def _write_sidecar(out_path: str, manifest: dict, outputs: list[str],
+                   facts: dict | None = None) -> None:
     side = dict(manifest)
     side["outputs"] = outputs
+    side.update(facts or {})
     side["created_utc"] = datetime.now(timezone.utc).isoformat()
     with open(out_path + ".manifest.json", "w") as fh:
         fh.write(json_text(side))
@@ -223,7 +225,11 @@ def cmd_sim(args) -> int:
         with open(report_path, "w") as fh:
             fh.write(json_text(doc))
         log.to_csv(csv_path)
-        _write_sidecar(args.out, manifest, [report_path, csv_path])
+        # facts the pinned data files do not carry go to the sidecar only
+        _write_sidecar(args.out, manifest, [report_path, csv_path],
+                       {"max_disk_users": sc.max_disk_users,
+                        "neighbor_pairs": report.stats["neighbor_pairs"],
+                        "loss_causes": log.loss_counts()})
         print(f"wrote {report_path} and {csv_path}", file=sys.stderr)
     else:
         sys.stdout.write(json_text(doc))

@@ -14,12 +14,15 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .sequences import json_text
 
 __all__ = [
     "HexCell",
     "cell_center",
     "quantize",
+    "quantize_many",
     "cell_distance",
     "cluster_size",
     "ReusePlan",
@@ -36,33 +39,54 @@ class HexCell(NamedTuple):
 
 
 def cell_center(c: HexCell, h: float) -> tuple[float, float]:
-    """Cartesian center of a cell, meters."""
+    """Cartesian center of a cell, meters.  The fields of `c` may be
+    integer arrays; the centers then come back as two float arrays."""
     d = math.sqrt(3.0) * h
     return (d * c.m + 0.5 * d * c.n, 0.5 * math.sqrt(3.0) * d * c.n)
 
 
-def quantize(x: float, y: float, h: float) -> HexCell:
-    """Cell whose center is nearest to (x, y); ties go to smaller (m, n).
+def quantize_many(x, y, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (m, n) whose centers are nearest to the points (x, y), as two
+    int64 arrays; ties go to smaller (m, n).
 
     The fractional lattice coordinates of the true nearest center differ
     from the point's by less than 2/3 in each axis, so rounding plus a
-    3x3 neighborhood always contains it.
+    3x3 neighborhood always contains it.  The neighborhood is scanned in
+    ascending (m, n) order and a later cell wins only when it is nearer by
+    more than the tie tolerance.
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     d = math.sqrt(3.0) * h
     nf = 2.0 * y / (d * math.sqrt(3.0))
     mf = x / d - 0.5 * nf
-    m0, n0 = round(mf), round(nf)
-    best = None
-    for m in (m0 - 1, m0, m0 + 1):
-        for n in (n0 - 1, n0, n0 + 1):
+    # cell indices stay exact in float64 and far inside int64
+    if not ((np.abs(mf) < 2.0 ** 52).all() and (np.abs(nf) < 2.0 ** 52).all()):
+        raise ValueError("coordinates must be finite and within 2^52 cells of the origin")
+    # rint rounds half to even, as round() does
+    m0 = np.rint(mf).astype(np.int64)
+    n0 = np.rint(nf).astype(np.int64)
+    best = np.full(x.shape, np.inf)
+    best_m, best_n = m0, n0
+    for dm in (-1, 0, 1):
+        for dn in (-1, 0, 1):
+            m, n = m0 + dm, n0 + dn
             cx, cy = cell_center(HexCell(m, n), h)
-            dist = math.hypot(x - cx, y - cy)
-            if best is None or dist < best[0] - _TIE_EPS or (
-                    abs(dist - best[0]) <= _TIE_EPS and (m, n) < best[1]):
-                best = (dist, (m, n))
-    return HexCell(*best[1])
+            dist = np.hypot(x - cx, y - cy)
+            win = dist < best - _TIE_EPS
+            best = np.where(win, dist, best)
+            best_m = np.where(win, m, best_m)
+            best_n = np.where(win, n, best_n)
+    return best_m, best_n
+
+
+def quantize(x: float, y: float, h: float) -> HexCell:
+    """Cell whose center is nearest to (x, y); ties go to smaller (m, n).
+    One point of `quantize_many`."""
+    m, n = quantize_many([x], [y], h)
+    return HexCell(int(m[0]), int(n[0]))
 
 
 def cell_distance(a: HexCell, b: HexCell, h: float) -> float:
@@ -148,9 +172,11 @@ class ReusePlan:
                 raise ValueError("assignment must cover all G cosets")
             if len(set(self.assignment.values())) != self.G:
                 raise ValueError("assignment must be one-to-one")
-            reps = {self.rep_key(c) for c in self.representative_cells()}
-            if set(self.assignment) != reps:
+            reps = [self.rep_key(c) for c in self.representative_cells()]
+            if set(self.assignment) != set(reps):
                 raise ValueError("assignment keys must be the canonical representatives")
+            # labels by coset index: representatives come in index order
+            self._labels = np.array([self.assignment[r] for r in reps], dtype=object)
 
     @classmethod
     def from_geometry(cls, h: float, R: float,
@@ -183,11 +209,27 @@ class ReusePlan:
         r = self.representative(c)
         return r.m * self._h22 + r.n
 
-    def allocate(self, c: HexCell) -> str:
-        """Sequence label assigned to the cell's coset."""
+    def allocate_many(self, m, n) -> np.ndarray:
+        """Sequence labels assigned to the cosets of the cells (m, n), given
+        as two integer arrays."""
+        try:
+            m, n = np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64)
+        except OverflowError:
+            m = None
+        # the largest intermediate of representative(), bounded in Python ints
+        if m is None or m.size and (
+                (max(int(m.max()), -int(m.min())) + self._h11) // self._h11 * self._h12
+                + max(int(n.max()), -int(n.min())) + self.G >= 1 << 63):
+            raise ValueError("cell coordinates too large for 64-bit coset arithmetic")
+        index = self.coset_index(HexCell(m, n))
         if self.assignment is None:
-            return str(self.coset_index(c))
-        return self.assignment[self.rep_key(self.representative(c))]
+            return index.astype(str)
+        return self._labels[index]
+
+    def allocate(self, c: HexCell) -> str:
+        """Sequence label assigned to the cell's coset.  One cell of
+        `allocate_many`."""
+        return self.allocate_many([c.m], [c.n]).tolist()[0]
 
     def to_json(self) -> dict:
         return {"h": self.h, "R": self.R, "G": self.G, "b1": self.b1,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import sequences_from_config
-from .hexalloc import HexCell, ReusePlan, cell_center, quantize
+from .hexalloc import HexCell, ReusePlan, cell_center, quantize_many
 from .sequences import SequenceSet
 
 __all__ = [
@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0
+# loss_cause codes 1, 2 and 3: another arrival at the receiver overlaps the
+# reception, the receiver transmits during it, or both
+LOSS_CAUSES = ("overlap", "half_duplex", "both")
+# (pair, user) distance tests per block of the densest-disk count
+_DISK_TESTS = 1 << 16
 # the keys a scenario config must give (Scenario.from_config)
 _REQUIRED_KEYS = ("sequences", "tau_s", "R_m", "L", "F", "delta_c_slots", "M", "h_m",
                   "users")
@@ -115,9 +120,12 @@ class Scenario:
     """One superframe's users, schedules and timing, validated.
 
     Validation also fixes the geometry every consumer reads: `positions`
-    (k x 2), the pairwise distance matrix `dist` (k x k) and `hearing`, the
-    (receiver, transmitter) index arrays of every ordered pair closer than
-    R, receiver-major with ascending transmitters.
+    (k x 2), `hearing`, the (receiver, transmitter) index arrays of every
+    ordered pair closer than R, receiver-major with ascending transmitters,
+    `hearing_dist`, the distance of each of those pairs, and `label_index`,
+    each user's position in the sequence set.  No k x k
+    array is formed: candidate pairs come from a grid of buckets at least
+    2R wide (see `_near_pairs`), and the checks run on the pairs within 2R.
     """
 
     timing: TimingModel
@@ -142,77 +150,89 @@ class Scenario:
                 f"sequence period {self.sequence_set.period} must equal frame "
                 f"length {self.timing.frame_slots}")
         self._check_offsets()
+        self.positions: np.ndarray = np.array(
+            [(u.x, u.y) for u in self.users], dtype=np.float64).reshape(-1, 2)
         self._resolve_labels()
-        self._build_geometry()
-        self._check_allocation_constraint()
-        self._check_interferer_cap()
+        tol = 1e-9 * max(1.0, self.R_m)
+        near = _near_pairs(self.positions, 2 * self.R_m + 2 * tol)
+        i, j, d = near
+        hears = (d < self.R_m) & (i != j)
+        self.hearing: tuple[np.ndarray, np.ndarray] = (i[hears], j[hears])
+        self.hearing_dist: np.ndarray = d[hears]
+        self._check_allocation_constraint(near)
+        self._check_interferer_cap(near, tol)
         self._check_propagation_bound()
 
     def _check_offsets(self):
         bound = self.timing.tau_s * self.timing.delta_c_slots
-        for u in self.users:
-            if u.offset_s is not None and not -1e-12 <= u.offset_s <= bound + 1e-12:
-                raise ValueError(f"offset of {u.id!r} outside [0, {bound}]")
+        # an absent offset is drawn per run inside the bound; 0 stands in for it
+        off = np.array([0.0 if u.offset_s is None else u.offset_s for u in self.users],
+                       dtype=np.float64)
+        bad = np.flatnonzero(~((-1e-12 <= off) & (off <= bound + 1e-12)))
+        if bad.size:
+            raise ValueError(f"offset of {self.users[bad[0]].id!r} outside [0, {bound}]")
 
     def _resolve_labels(self):
-        labels = []
-        cells = []
-        from_plan = []
-        for u in self.users:
-            cell = quantize(u.x, u.y, self.h_m)
-            cells.append(cell)
-            if u.label is not None:
-                lab = u.label
-            else:
-                if self.plan is None:
-                    raise ValueError(f"user {u.id!r} has no label and no plan given")
-                lab = self.plan.allocate(cell)
-            from_plan.append(u.label is None)
-            if lab not in self.sequence_set.labels:
-                raise ValueError(f"label {lab!r} not in the sequence set")
-            labels.append(lab)
-        if any(from_plan):
-            seen: dict[HexCell, str] = {}
-            for u, c in zip(self.users, cells):
-                if c in seen:
-                    raise ValueError(
-                        f"users {seen[c]!r} and {u.id!r} occupy the same cell "
-                        f"{tuple(c)}; one cell holds at most one user")
-                seen[c] = u.id
-        self.resolved_labels: tuple[str, ...] = tuple(labels)
-        self.cells: tuple[HexCell, ...] = tuple(cells)
-        self.label_from_plan: tuple[bool, ...] = tuple(from_plan)
+        x, y = self.positions.T
+        m, n = quantize_many(x, y, self.h_m)
+        names = self.sequence_set.labels
+        index = {lab: i for i, lab in enumerate(names)}
+        # -2: from the plan, -1: not in the sequence set
+        label = np.array([-2 if u.label is None else index.get(u.label, -1)
+                          for u in self.users], dtype=np.int64)
+        planned = label == -2
+        if planned.any() and self.plan is not None:
+            label[planned] = [index.get(lab, -1) for lab in
+                              self.plan.allocate_many(m[planned], n[planned]).tolist()]
+        bad = np.flatnonzero(label < 0)
+        if bad.size:
+            at = int(bad[0])
+            u = self.users[at]
+            if self.plan is None and u.label is None:
+                raise ValueError(f"user {u.id!r} has no label and no plan given")
+            lab = u.label if u.label is not None else self.plan.allocate(
+                HexCell(int(m[at]), int(n[at])))
+            raise ValueError(f"label {lab!r} not in the sequence set")
+        if planned.any():
+            # the first user whose cell an earlier user holds, and that user
+            _, first, cell = np.unique(np.stack((m, n), axis=1), axis=0,
+                                       return_index=True, return_inverse=True)
+            again = np.flatnonzero(first[cell] != np.arange(m.size))
+            if again.size:
+                b = int(again[0])
+                a = int(first[cell[b]])
+                raise ValueError(
+                    f"users {self.users[a].id!r} and {self.users[b].id!r} occupy the "
+                    f"same cell {(int(m[b]), int(n[b]))}; one cell holds at most one user")
+        self.label_index: np.ndarray = label
+        self.resolved_labels: tuple[str, ...] = tuple(
+            np.array(names, dtype=object)[label].tolist())
+        self.label_from_plan: tuple[bool, ...] = tuple(planned.tolist())
+        self._cell_mn = (m, n)
 
-    def _build_geometry(self):
-        xy = np.array([(u.x, u.y) for u in self.users],
-                      dtype=np.float64).reshape(-1, 2)
-        x, y = xy[:, 0], xy[:, 1]
-        dist = x[:, None] - x[None, :]
-        np.hypot(dist, y[:, None] - y[None, :], out=dist)
-        hears = dist < self.R_m
-        np.fill_diagonal(hears, False)
-        self.positions: np.ndarray = xy
-        self.dist: np.ndarray = dist
-        self.hearing: tuple[np.ndarray, np.ndarray] = np.nonzero(hears)
+    @property
+    def cells(self) -> tuple[HexCell, ...]:
+        """Each user's hex cell."""
+        return tuple(map(HexCell, *(a.tolist() for a in self._cell_mn)))
 
-    def _check_allocation_constraint(self):
+    def _check_allocation_constraint(self, near):
         # plan-derived labels must respect the reuse distance; explicitly
         # labeled users are the scenario author's responsibility (collision
         # scenarios are legitimate experiments)
-        lab = np.array(self.resolved_labels, dtype=str)
+        i, j, d = near
         planned = np.array(self.label_from_plan, dtype=bool)
-        clash = (planned[:, None] & planned[None, :]
-                 & (lab[:, None] == lab[None, :])
-                 & (self.dist < 2 * self.R_m * (1 - 1e-12)))
-        first, second = np.nonzero(np.triu(clash, 1))
-        if first.size:
-            i, j = int(first[0]), int(second[0])
+        lab = self.label_index
+        clash = np.flatnonzero((i < j) & planned[i] & planned[j] & (lab[i] == lab[j])
+                               & (d < 2 * self.R_m * (1 - 1e-12)))
+        if clash.size:
+            n = clash[0]
+            a, b = int(i[n]), int(j[n])
             raise ValueError(
-                f"users {self.users[i].id!r} and {self.users[j].id!r} share "
-                f"label {self.resolved_labels[i]!r} at distance "
-                f"{float(self.dist[i, j]):.3f} m < 2R = {2 * self.R_m:.3f} m")
+                f"users {self.users[a].id!r} and {self.users[b].id!r} share "
+                f"label {self.resolved_labels[a]!r} at distance "
+                f"{float(d[n]):.3f} m < 2R = {2 * self.R_m:.3f} m")
 
-    def _check_interferer_cap(self):
+    def _check_interferer_cap(self, near, tol):
         """The densest closed disk of radius R must hold at most M users.
 
         It is enough to test disks centred at a user and disks with two
@@ -220,41 +240,43 @@ class Scenario:
         users i and j lies R from i (d/2 <= R + tol/2 when the pair is
         just over 2R apart), so every user within R + tol of the centre
         lies within 2R + 2 tol of i, with room left for rounding.  Counting
-        each centre against that neighbourhood of i alone therefore finds
-        every user the disk holds, and the count is exact.  Centres are
-        counted in chunks of about max(k^2 / 8, 4096) (centre, user) tests,
-        so the work arrays stay within the size of the distance matrix.
+        each centre against `near`, the pairs within 2R + 2 tol, of i alone
+        therefore finds every user the disk holds, and the count is exact.
+        Pairs are taken in blocks of about `_DISK_TESTS` (pair, user)
+        tests, so the work arrays stay the same size at any user count.
         """
         R = self.R_m
-        tol = 1e-9 * max(1.0, R)
-        dist = self.dist
+        i, j, d = near
         x, y = self.positions[:, 0], self.positions[:, 1]
-        worst = int((dist <= R + tol).sum(axis=1).max(initial=0))
+        worst = int(np.bincount(i[d <= R + tol], minlength=1).max())
 
-        i, j = np.nonzero(np.triu((dist > 0) & (dist <= 2 * R + tol), 1))
-        d = dist[i, j]
-        mx, my = (x[i] + x[j]) / 2, (y[i] + y[j]) / 2
+        two = np.flatnonzero((i < j) & (d > 0) & (d <= 2 * R + tol))
+        a, b, d = i[two], j[two], d[two]
+        mx, my = (x[a] + x[b]) / 2, (y[a] + y[b]) / 2
         t = np.sqrt(np.maximum(R * R - (d / 2) ** 2, 0.0)) / d
-        ux, uy = -(y[j] - y[i]), (x[j] - x[i])
-        cx = np.concatenate((mx + t * ux, mx - t * ux))
-        cy = np.concatenate((my + t * uy, my - t * uy))
-        owner = np.concatenate((i, i))
+        ux, uy = -(y[b] - y[a]), (x[b] - x[a])
 
-        near = dist <= 2 * R + 2 * tol
-        members = np.nonzero(near)[1]          # each row's neighbourhood, in row order
-        size = near.sum(axis=1)
+        # `near` is sorted by i: row i's neighbourhood is j[first[i]:][:size[i]]
+        size = np.bincount(i, minlength=x.size)
         first = np.cumsum(size) - size
-        tests = size[owner]
-        ends = np.cumsum(tests)
-        chunk = max(dist.size // 8, 1 << 12)
-        cuts = np.searchsorted(ends, np.arange(chunk, ends[-1] if ends.size else 0, chunk))
-        bounds = [0, *cuts.tolist(), owner.size]
+        jx, jy = x[j], y[j]
+        tests = size[a]
+        cuts = np.searchsorted(np.cumsum(tests),
+                               np.arange(_DISK_TESTS, tests.sum(), _DISK_TESTS))
+        bounds = [0, *cuts.tolist(), a.size]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            centre = np.repeat(np.arange(hi - lo), tests[lo:hi])
-            p = members[_ranges(first[owner[lo:hi]], tests[lo:hi])]
-            inside = np.hypot(x[p] - cx[lo:hi][centre],
-                              y[p] - cy[lo:hi][centre]) <= R + tol
-            worst = max(worst, int(np.bincount(centre[inside]).max(initial=0)))
+            block = slice(lo, hi)
+            member = _ranges(first[a[block]], tests[block])
+            px, py = jx[member], jy[member]
+            starts = np.cumsum(tests[block]) - tests[block]
+            for sign in (1.0, -1.0):
+                cx = mx[block] + sign * t[block] * ux[block]
+                cy = my[block] + sign * t[block] * uy[block]
+                inside = _within(px - np.repeat(cx, tests[block]),
+                                 py - np.repeat(cy, tests[block]), R + tol)
+                if starts.size:
+                    worst = max(worst, int(np.add.reduceat(inside, starts,
+                                                           dtype=np.int64).max()))
         self.max_disk_users = worst
         if worst > self.M:
             raise ValueError(
@@ -266,14 +288,14 @@ class Scenario:
         if self.slot_synchronized:
             return
         rx, tx = self.hearing
-        delay = self.dist[tx, rx] / (SPEED_OF_LIGHT * self.timing.tau_s)
+        delay = self.hearing_dist / (SPEED_OF_LIGHT * self.timing.tau_s)
         over = np.nonzero(delay > self.timing.delta_p_slots)[0]
         if over.size:
             n = int(over[0])
             b, a = int(rx[n]), int(tx[n])
             raise ValueError(
                 f"users {self.users[b].id!r} and {self.users[a].id!r} are "
-                f"{float(self.dist[a, b]):.3f} m apart: propagation delay "
+                f"{float(self.hearing_dist[n]):.3f} m apart: propagation delay "
                 f"{float(delay[n]):.3f} slots exceeds delta_p = "
                 f"{self.timing.delta_p_slots} slots")
 
@@ -320,30 +342,97 @@ class Scenario:
         return cls.from_config(cfg, base_dir=os.path.dirname(path) or ".")
 
 
+def _near_pairs(xy: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ordered pairs (i, j) of points at most `reach` apart, i == j
+    included, sorted by (i, j), with their distances.
+
+    Points are bucketed on a square grid wider than `reach`, so a pair
+    lies in one bucket or in two adjacent ones: each point is tested only
+    against the points of its own bucket and the 8 around it.  The 1e-9
+    margin on the width outweighs the rounding of the bucket coordinates.
+    The grid widens further only when the points span more than 2^20
+    buckets, which keeps bucket keys far from overflow.  The distance of
+    (i, j) is hypot(x_i - x_j, y_i - y_j), which is the same for (j, i).
+    """
+    k = xy.shape[0]
+    if k == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0)
+    x, y = xy[:, 0], xy[:, 1]
+    x0, y0 = x.min(), y.min()
+    side = max(reach, float(max(x.max() - x0, y.max() - y0)) / (1 << 20)) * (1 + 1e-9)
+    bx = ((x - x0) // side).astype(np.int64)
+    by = ((y - y0) // side).astype(np.int64)
+    # a spare row on each side of a column keeps by +- 1 inside the column
+    rows = int(by.max()) + 3
+    key = bx * rows + by + 1
+    order = np.argsort(key)
+    sorted_key = key[order]
+    # the keys of the 3 x 3 buckets centred on each point's own
+    block = (key[:, None] + (np.arange(-1, 2)[:, None] * rows + np.arange(-1, 2)).ravel()).ravel()
+    lo = np.searchsorted(sorted_key, block, side="left")
+    count = np.searchsorted(sorted_key, block, side="right") - lo
+    i = np.repeat(np.arange(k).repeat(9), count)
+    j = order[_ranges(lo, count)]
+    keep = _within(x[i] - x[j], y[i] - y[j], reach)
+    i, j = i[keep], j[keep]
+    order = np.argsort(i * k + j)
+    i, j = i[order], j[order]
+    return i, j, np.hypot(x[i] - x[j], y[i] - y[j])
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
+    """hypot(dx, dy) <= r, elementwise.  The squared distance decides every
+    entry farther than a relative 1e-12 from the boundary, where its
+    rounding cannot flip the answer; np.hypot, ten times dearer, decides
+    the rest, so the result is that of np.hypot alone."""
+    s = dx * dx
+    s += dy * dy
+    r2 = r * r
+    inside = s <= r2 * (1 + 1e-12)
+    edge = np.flatnonzero(inside & (s >= r2 * (1 - 1e-12)))
+    inside[edge] = np.hypot(dx[edge], dy[edge]) <= r
+    return inside
+
+
 def _random_users(spec: dict, h: float, seq: SequenceSet) -> list[User]:
     """Users at distinct hex-cell centers inside a rectangle, seeded."""
-    count = int(spec["random_users"])
-    xmin, ymin, xmax, ymax = (float(v) for v in spec["area"])
+    missing = [key for key in ("random_users", "area") if spec.get(key) is None]
+    if missing:
+        raise ValueError("users spec is missing required key(s): "
+                         + ", ".join(repr(key) for key in missing))
+    count = spec["random_users"]
+    if not ((isinstance(count, int) and not isinstance(count, bool))
+            or (isinstance(count, float) and count.is_integer())) or count < 0:
+        raise ValueError(f"users spec 'random_users' must be a non-negative "
+                         f"integer, got {count!r}")
+    count = int(count)
+    area = spec["area"]
+    try:
+        xmin, ymin, xmax, ymax = (float(v) for v in area)
+    except (TypeError, ValueError):
+        xmin = ymin = xmax = ymax = math.nan
+    if not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
+        raise ValueError(f"users spec 'area' must be four numbers [xmin, ymin, "
+                         f"xmax, ymax], got {area!r}")
+    if xmin > xmax or ymin > ymax:
+        raise ValueError(f"users spec 'area' {area!r} has a min above its max")
     rng = np.random.default_rng(spec.get("seed"))
-    cells = []
-    # cover the area generously, then keep centers strictly inside
+    # cover the area generously, then keep centers inside, in (m, n) order
     d = math.sqrt(3) * h
     m_lo, m_hi = int(xmin / d) - 3, int(xmax / d) + 3
     n_lo, n_hi = int(2 * ymin / (d * math.sqrt(3))) - 3, int(2 * ymax / (d * math.sqrt(3))) + 3
-    for m in range(m_lo, m_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            x, y = cell_center(HexCell(m, n), h)
-            if xmin <= x <= xmax and ymin <= y <= ymax:
-                cells.append((m, n))
-    if len(cells) < count:
-        raise ValueError(f"area holds only {len(cells)} cells, need {count}")
-    pick = rng.permutation(len(cells))[:count]
+    m, n = (a.ravel() for a in np.meshgrid(np.arange(m_lo, m_hi + 1),
+                                           np.arange(n_lo, n_hi + 1), indexing="ij"))
+    x, y = cell_center(HexCell(m, n), h)
+    inside = np.flatnonzero((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax))
+    if inside.size < count:
+        raise ValueError(f"area holds only {inside.size} cells, need {count}")
+    pick = inside[rng.permutation(inside.size)[:count]]
     shifts = rng.integers(0, seq.period, size=count)
-    users = []
-    for idx, (ci, sh) in enumerate(zip(pick, shifts)):
-        x, y = cell_center(HexCell(*cells[ci]), h)
-        users.append(User(f"u{idx}", x, y, None, int(sh), None))
-    return users
+    return [User(f"u{idx}", px, py, None, sh, None)
+            for idx, (px, py, sh) in enumerate(zip(x[pick].tolist(), y[pick].tolist(),
+                                                   shifts.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +455,17 @@ class ReceptionLog:
     end_slots: np.ndarray
     contention_free: np.ndarray       # bool
     seed: int | None = None
+    # per row: 0 contention-free, else a bit mask of LOSS_CAUSES (not in the CSV)
+    loss_cause: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.tx.size)
+
+    def loss_counts(self) -> dict[str, int]:
+        """Lost receptions by cause; they sum to len(self) minus the
+        contention-free ones."""
+        count = np.bincount(self.loss_cause, minlength=len(LOSS_CAUSES) + 1)
+        return {name: int(c) for name, c in zip(LOSS_CAUSES, count[1:])}
 
     @property
     def t_arrive_s(self) -> np.ndarray:
@@ -394,12 +491,6 @@ class ReceptionLog:
                               for tx, rx, slot, ta, te, cf in rows)
 
 
-def _tx_slots(seq_ones, shift: int, period: int, total: int) -> np.ndarray:
-    pos = np.array(sorted((o + shift) % period for o in seq_ones), dtype=np.int64)
-    reps = np.arange(0, total, period, dtype=np.int64)
-    return (reps[:, None] + pos[None, :]).ravel()
-
-
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Indices that concatenate the ranges [starts[i], starts[i] + lens[i])."""
     ends = np.cumsum(lens)
@@ -421,16 +512,28 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     total = tm.active_slots
 
     draws = rng.uniform(0.0, float(tm.delta_c_slots), size=k)
-    t = np.array([u.offset_s / tm.tau_s if u.offset_s is not None else draws[i]
-                  for i, u in enumerate(users)], dtype=np.float64)
+    offset = np.array([np.nan if u.offset_s is None else u.offset_s for u in users],
+                      dtype=np.float64)
+    t = np.where(np.isnan(offset), draws, offset / tm.tau_s)
+    shift_of = np.array([u.shift for u in users], dtype=np.int64)
+    label_of = sc.label_index
 
-    slots_by_user = [
-        _tx_slots(sc.sequence_set.get(sc.resolved_labels[i]).ones,
-                  users[i].shift, n, total)
-        for i in range(k)
-    ]
-    lens = np.array([s.size for s in slots_by_user], dtype=np.int64)
-    all_slots = np.concatenate([np.zeros(0, dtype=np.int64), *slots_by_user])
+    # each user's transmit slots over the superframe, ascending, user-major:
+    # one period of its shifted ones, sorted by one key sort over all users,
+    # then repeated frame by frame
+    members = sc.sequence_set.sequences
+    weight = np.array([len(member.ones) for member in members], dtype=np.int64)
+    ones = np.array([o for member in members for o in member.ones], dtype=np.int64)
+    w = weight[label_of]
+    owner = np.repeat(np.arange(k, dtype=np.int64), w)
+    key = (ones[_ranges((np.cumsum(weight) - weight)[label_of], w)] + shift_of[owner]) % n
+    key += owner * n
+    key.sort()
+    key -= owner * n
+    per_frame = np.repeat(w, tm.frames)
+    all_slots = key[_ranges(np.repeat(np.cumsum(w) - w, tm.frames), per_frame)]
+    all_slots += np.repeat(np.tile(np.arange(0, total, n), k), per_frame)
+    lens = w * tm.frames
 
     # one row per (receiver b, transmitter a, slot of a), b-major
     rx_pair, tx_pair = sc.hearing
@@ -441,7 +544,7 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     if sc.slot_synchronized:
         delay = np.zeros(tx_pair.size)
     else:
-        delay = sc.dist[tx_pair, rx_pair] / (SPEED_OF_LIGHT * tm.tau_s)
+        delay = sc.hearing_dist / (SPEED_OF_LIGHT * tm.tau_s)
     start = t[tx]
     start += slot
     start += np.repeat(delay, per_pair)
@@ -453,7 +556,8 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
         [np.zeros(0, dtype=np.int64)]
         + [lo + np.argsort(start[lo:hi], kind="stable")
            for lo, hi in zip([0] + cut, cut + [rx.size])])
-    tx, rx, slot, start = tx[order], rx[order], slot[order], start[order]
+    # rows stay within their receiver, so rx needs no reordering
+    tx, slot, start = tx[order], slot[order], start[order]
     del order
     end = start + 1.0
 
@@ -468,14 +572,10 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     # transmit slots, i.e. an own slot j with j - 1 < rel < j + 1.  Row r of
     # `pattern` marks one period of label r's ones; its extra last column
     # repeats column 0, so the slot after k0 is always at index + 1.
-    index = {lab: i for i, lab in enumerate(sc.sequence_set.labels)}
-    pattern = np.zeros((len(index), n + 1), dtype=bool)
-    for i, member in enumerate(sc.sequence_set.sequences):
-        pattern[i, list(member.ones)] = True
+    pattern = np.zeros((len(members), n + 1), dtype=bool)
+    pattern[np.repeat(np.arange(len(members)), weight), ones] = True
     pattern[:, n] = pattern[:, 0]
     pattern = pattern.ravel()
-    label_of = np.array([index[lab] for lab in sc.resolved_labels], dtype=np.int64)
-    shift_of = np.array([u.shift for u in users], dtype=np.int64)
 
     rel = start - t[rx]
     k0 = np.floor(rel).astype(np.int64)
@@ -485,8 +585,9 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     lost = pattern[at] & (k0 >= 0) & (k0 < total)
     lost |= pattern[at + 1] & (rel != k0) & (k0 >= -1) & (k0 < total - 1)
 
+    cause = coll.view(np.uint8) | (lost.view(np.uint8) << 1)
     return ReceptionLog(tuple(u.id for u in users), t, tm.tau_s, tx, rx,
-                        slot, start, end, ~coll & ~lost, seed)
+                        slot, start, end, cause == 0, seed, cause)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +684,8 @@ def adversarial_offset_search(sc: Scenario, step_slots: float = 0.5,
     """
     from itertools import product as iproduct
 
+    if not step_slots > 0:
+        raise ValueError(f"step_slots must be positive, got {step_slots!r}")
     tm = sc.timing
     # the last point is clamped: a step that does not divide delta_c overshoots it
     vals = np.minimum(np.arange(0.0, tm.delta_c_slots + step_slots / 2, step_slots),

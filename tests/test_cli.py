@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -304,6 +305,48 @@ class TestSim:
         assert report["frame_offset_audit"] is True
         side = json.loads((tmp_path / "runA.manifest.json").read_text())
         assert side["outputs"] == [out1 + ".report.json", out1 + ".log.csv"]
+
+    def test_sidecar_reports_geometry_and_loss_causes(self, tmp_path, monkeypatch,
+                                                      scenario_file):
+        monkeypatch.chdir(tmp_path)
+        assert run("sim", "--config", "scenario.json", "--seed", "5",
+                   "--out", "run") == 0
+        # the data files hold the bytes they held before the sidecar gained
+        # these facts (the report embeds the version and the config path)
+        digest = {suffix: hashlib.sha256((tmp_path / ("run" + suffix)).read_bytes()).hexdigest()
+                  for suffix in (".report.json", ".log.csv")}
+        assert digest == {
+            ".report.json": "3c947b2392a61f39b0fe7cc725bd4fe2ebbe878a0188155a26f54b0b5839c7e1",
+            ".log.csv": "8302ec232fa8ab1725c48cc94e0bb6d6e424191a542fcb14146ee0de60c1c25d"}
+        stats = json.loads((tmp_path / "run.report.json").read_text())["stats"]
+        side = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert side["max_disk_users"] == 3
+        assert side["neighbor_pairs"] == stats["neighbor_pairs"] == 6
+        assert set(side["loss_causes"]) == {"overlap", "half_duplex", "both"}
+        assert (sum(side["loss_causes"].values())
+                == stats["receptions"] - stats["contention_free"] > 0)
+
+    @pytest.mark.parametrize("users, message", [
+        ({"random_users": 5}, "users spec is missing required key(s): 'area'"),
+        ({"area": [0, 0, 9, 9]}, "users spec is missing required key(s): 'random_users'"),
+        ({"random_users": -3, "area": [0, 0, 9, 9]},
+         "users spec 'random_users' must be a non-negative integer, got -3"),
+        ({"random_users": 2, "area": [0, 0, 9]},
+         "users spec 'area' must be four numbers [xmin, ymin, xmax, ymax], got [0, 0, 9]"),
+        ({"random_users": 2, "area": [9, 0, 0, 9]},
+         "users spec 'area' [9, 0, 0, 9] has a min above its max"),
+    ], ids=["no-area", "no-count", "negative-count", "three-numbers", "min-above-max"])
+    def test_bad_random_users_spec_is_named(self, tmp_path, capsys, users, message):
+        cfg = {
+            "tau_s": 1e-3, "L": 2, "F": 3, "delta_c_slots": 0, "R_m": 10.0,
+            "h_m": 1.0, "M": 2, "slot_synchronized": True,
+            "sequences": {"construction": "tdma", "G": 2, "delta": 0},
+            "users": users,
+        }
+        path = tmp_path / "users.json"
+        path.write_text(json.dumps(cfg))
+        assert run("sim", "--config", str(path), "--seed", "1") == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_violation_exit_code(self, tmp_path):
         cfg = {

@@ -7,7 +7,7 @@ import pytest
 
 from protoseq.hexalloc import (HexCell, PositionLogEntry, ReusePlan,
                                cell_center, cell_distance, check_fermion,
-                               cluster_size, quantize)
+                               cluster_size, quantize, quantize_many)
 
 
 class TestGeometry:
@@ -219,6 +219,78 @@ class TestReusePlan:
         c = HexCell(123456, -98765)
         assert 0 <= plan.coset_index(c) < plan.G
         assert plan.allocate(c) == str(plan.coset_index(c))
+
+
+def quantize_oracle(x, y, h):
+    """The scalar 3x3 scan quantize_many replaced, with math.hypot."""
+    d = math.sqrt(3.0) * h
+    nf = 2.0 * y / (d * math.sqrt(3.0))
+    mf = x / d - 0.5 * nf
+    m0, n0 = round(mf), round(nf)
+    best = None
+    for m in (m0 - 1, m0, m0 + 1):
+        for n in (n0 - 1, n0, n0 + 1):
+            cx, cy = cell_center(HexCell(m, n), h)
+            dist = math.hypot(x - cx, y - cy)
+            if best is None or dist < best[0] - 1e-9 or (
+                    abs(dist - best[0]) <= 1e-9 and (m, n) < best[1]):
+                best = (dist, (m, n))
+    return HexCell(*best[1])
+
+
+def allocate_oracle(plan, c):
+    if plan.assignment is None:
+        return str(plan.coset_index(c))
+    return plan.assignment[plan.rep_key(plan.representative(c))]
+
+
+class TestArrayForms:
+    # points where two or three centers are equally near: edge midpoints
+    # and cell corners, at several cells and radii
+    TIES = [(math.sqrt(3) / 2, 0.0, 1.0), (0.0, 1.0, 1.0), (math.sqrt(3) / 4, 0.75, 1.0),
+            (-math.sqrt(3) / 2, 0.0, 1.0), (0.0, -1.0, 1.0), (math.sqrt(3), 1.0, 2.0),
+            (3 * math.sqrt(3) / 2, 1.5, 1.0), (-math.sqrt(3) / 4, -0.75, 1.0)]
+
+    def test_quantize_many_against_scalar_scan(self):
+        rng = np.random.default_rng(11)
+        for h in (0.5, 1.0, 150.0):
+            x = rng.uniform(-40 * h, 40 * h, size=400)
+            y = rng.uniform(-40 * h, 40 * h, size=400)
+            m, n = quantize_many(x, y, h)
+            assert m.dtype == n.dtype == np.int64
+            assert list(zip(m.tolist(), n.tolist())) == [
+                tuple(quantize_oracle(a, b, h)) for a, b in zip(x.tolist(), y.tolist())]
+
+    def test_ties_go_to_the_smaller_cell(self):
+        for h in (1.0, 2.0):
+            pts = [(x, y) for x, y, hh in self.TIES if hh == h]
+            m, n = quantize_many(*zip(*pts), h)
+            want = [tuple(quantize_oracle(x, y, h)) for x, y in pts]
+            assert list(zip(m.tolist(), n.tolist())) == want
+            assert [tuple(quantize(x, y, h)) for x, y in pts] == want
+        assert quantize(math.sqrt(3) / 2, 0.0, 1.0) == HexCell(0, 0)
+
+    def test_quantize_many_shapes_and_inputs(self):
+        m, n = quantize_many([], [], 1.0)
+        assert m.shape == n.shape == (0,)
+        with pytest.raises(ValueError, match="h must be positive"):
+            quantize_many([0.0], [0.0], -1.0)
+        for bad in (math.nan, math.inf, 1e17):
+            with pytest.raises(ValueError, match="coordinates must be finite and within"):
+                quantize_many([0.0, bad], [0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("labels", [None, list("abcdefg")])
+    def test_allocate_many_against_scalar_lookup(self, labels):
+        plan = ReusePlan.from_geometry(1.0, 1.94, labels=labels)
+        m, n = (a.ravel() for a in np.meshgrid(np.arange(-9, 10), np.arange(-9, 10)))
+        got = plan.allocate_many(m, n).tolist()
+        assert got == [allocate_oracle(plan, HexCell(a, b))
+                       for a, b in zip(m.tolist(), n.tolist())]
+        assert all(type(lab) is str for lab in got)
+        for cell in ((2 ** 63, 0), (2 ** 62, 0), (0, -(2 ** 63) + 1)):
+            with pytest.raises(ValueError, match="too large for 64-bit coset arithmetic"):
+                plan.allocate(HexCell(*cell))
+        assert [plan.allocate(HexCell(a, b)) for a, b in zip(m.tolist(), n.tolist())] == got
 
 
 class TestCheckFermion:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from protoseq.config import sequences_from_config
 from protoseq.crt import crt0_set
 from protoseq.hexalloc import HexCell, ReusePlan, cell_center, quantize
-from protoseq.netsim import (SPEED_OF_LIGHT, ReceptionLog, Scenario,
-                             TimingModel, User, adversarial_offset_search,
-                             check_block_free, delta_p, frame_offset_audit,
-                             run_superframe)
+from protoseq import netsim
+from protoseq.netsim import (LOSS_CAUSES, SPEED_OF_LIGHT, ReceptionLog,
+                             Scenario, TimingModel, User,
+                             adversarial_offset_search, check_block_free,
+                             delta_p, frame_offset_audit, run_superframe)
 from protoseq.rscpc import baseline_compare, pad_set, tdma_set
 from protoseq.sequences import SequenceSet
 
@@ -104,6 +106,38 @@ class TestScenarioValidation:
             Scenario(timing(7), 1.94, 1.0, 7, users, s, plan=plan,
                      slot_synchronized=True)
 
+    @pytest.mark.parametrize("users, message", [
+        ([User("a", 0, 0, "t9"), User("b", 5, 0, None)], "label 't9' not in the sequence set"),
+        ([User("a", 0, 0, None), User("b", 5, 0, "t9")], "user 'a' has no label and no plan given"),
+        ([User("a", 0, 0, "t0"), User("b", 5, 0, "t7"), User("c", 9, 0, "t8")],
+         "label 't7' not in the sequence set"),
+    ])
+    def test_label_errors_name_the_first_user(self, users, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Scenario(timing(2), 100.0, 1.0, 3, users, tdma_set(2, 0),
+                     slot_synchronized=True)
+
+    def test_plan_label_missing_from_the_set(self):
+        # an identity plan labels cells by coset index, which tdma labels are not
+        plan = ReusePlan.from_geometry(1.0, 1.94)
+        users = [User("a", 0.0, 0.0, "t0"), User("b", 30.0, 0.0)]
+        label = plan.allocate(quantize(30.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match=f"^label '{label}' not in the sequence set$"):
+            Scenario(timing(7), 1.94, 1.0, 7, users, tdma_set(7, 0), plan=plan,
+                     slot_synchronized=True)
+
+    def test_same_cell_error_names_the_first_repeat(self):
+        s = tdma_set(7, 0)
+        plan = ReusePlan.from_geometry(1.0, 1.94, labels=list(s.labels))
+        x1, y1 = cell_center(HexCell(3, 0), 1.0)
+        # cells of a, b, c, d, e: (0,0) (3,0) (3,0) (0,0) (3,0); c repeats first
+        users = [User("a", 0.0, 0.0), User("b", x1, y1, "t0"), User("c", x1 + 0.1, y1),
+                 User("d", 0.1, 0.0), User("e", x1, y1 + 0.1)]
+        with pytest.raises(ValueError, match=r"^users 'b' and 'c' occupy the same "
+                           r"cell \(3, 0\); one cell holds at most one user$"):
+            Scenario(timing(7), 1.94, 1.0, 7, users, s, plan=plan,
+                     slot_synchronized=True)
+
     def test_explicit_labels_may_share_a_cell(self):
         s = tdma_set(2, 0)
         users = [User("a", 0.0, 0.0, "t0"), User("b", 0.1, 0.0, "t1")]
@@ -187,6 +221,18 @@ class TestRunSuperframe:
         rep = check_block_free(log, sc)
         assert rep.verdict == "violated"
         assert len(rep.violations) == 2             # both directions, frame 1
+
+    def test_loss_causes_sum_to_lost_receptions(self):
+        s = crt0_set(3, 5)
+        users = [User("a", 0, 0, "g0", 7), User("b", 200, 0, "g2", 3),
+                 User("c", 0, 350, "*", 11), User("d", 100, 100, "g0", 0)]
+        sc = Scenario(timing(15, dc=2, dp=1), 500.0, 1.0, 4, users, s)
+        log = run_superframe(sc, seed=7)
+        causes = log.loss_counts()
+        assert list(causes) == list(LOSS_CAUSES)
+        assert sum(causes.values()) == len(log) - int(log.contention_free.sum())
+        assert causes["overlap"] and causes["half_duplex"] and causes["both"]
+        assert np.array_equal(log.loss_cause == 0, log.contention_free)
 
     def test_deterministic_for_seed(self):
         s = crt0_set(3, 5)
@@ -335,6 +381,12 @@ class TestAdversarialSearch:
         replay = Scenario(sc.timing, sc.R_m, sc.h_m, sc.M, users,
                           sc.sequence_set)
         assert not check_block_free(run_superframe(replay, seed=0), replay).holds
+
+    @pytest.mark.parametrize("step", [-1.0, 0, 0.0, math.nan])
+    def test_rejects_nonpositive_step(self, step):
+        # a negative step used to test nothing and report a clean grid
+        with pytest.raises(ValueError, match="^step_slots must be positive"):
+            adversarial_offset_search(self._unpadded(), step_slots=step)
 
     def test_combo_cap(self):
         sc = self._unpadded()
@@ -594,6 +646,35 @@ def allocation_oracle(users, plan, h, R):
     return None
 
 
+def near_pairs_oracle(xy, reach):
+    """The dense k x k distance matrix the bucketed pair search replaced."""
+    x, y = xy[:, 0], xy[:, 1]
+    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    i, j = np.nonzero(dist <= reach)
+    return i, j, dist[i, j]
+
+
+def random_users_oracle(spec, h, period):
+    """The cell-by-cell placement loop _random_users replaced."""
+    count = int(spec["random_users"])
+    xmin, ymin, xmax, ymax = (float(v) for v in spec["area"])
+    rng = np.random.default_rng(spec.get("seed"))
+    d = math.sqrt(3) * h
+    m_lo, m_hi = int(xmin / d) - 3, int(xmax / d) + 3
+    n_lo, n_hi = (int(2 * ymin / (d * math.sqrt(3))) - 3,
+                  int(2 * ymax / (d * math.sqrt(3))) + 3)
+    cells = []
+    for m in range(m_lo, m_hi + 1):
+        for n in range(n_lo, n_hi + 1):
+            x, y = cell_center(HexCell(m, n), h)
+            if xmin <= x <= xmax and ymin <= y <= ymax:
+                cells.append((m, n))
+    pick = rng.permutation(len(cells))[:count]
+    shifts = rng.integers(0, period, size=count)
+    return [(f"u{idx}", *cell_center(HexCell(*cells[ci]), h), int(sh))
+            for idx, (ci, sh) in enumerate(zip(pick, shifts))]
+
+
 def neighbor_pairs_oracle(sc):
     users = sc.users
     return [(b, a) for b in range(len(users)) for a in range(len(users))
@@ -625,9 +706,10 @@ def superframe_rows_oracle(sc, offsets):
     return rows
 
 
-def contention_free_oracle(log, sc):
-    """A reception is contention-free when no other arrival at its receiver
-    overlaps it and it overlaps none of the receiver's own transmit slots."""
+def loss_cause_oracle(log, sc):
+    """Per reception: 1 when another arrival at its receiver overlaps it, 2
+    when it overlaps one of the receiver's own transmit slots, 3 for both,
+    and 0 (contention-free) for neither."""
     own = [own_slots_oracle(sc, u) for u in range(len(sc.users))]
     out = []
     for i in range(len(log)):
@@ -637,8 +719,14 @@ def contention_free_oracle(log, sc):
                     for j in range(len(log)) if j != i)
         rel = s - log.offsets_slots[b]
         busy = any(j - 1 < rel < j + 1 for j in own[b])
-        out.append(not clash and not busy)
+        out.append(int(clash) + 2 * int(busy))
     return out
+
+
+def contention_free_oracle(log, sc):
+    """A reception is contention-free when no other arrival at its receiver
+    overlaps it and it overlaps none of the receiver's own transmit slots."""
+    return [cause == 0 for cause in loss_cause_oracle(log, sc)]
 
 
 def block_free_oracle(log, sc):
@@ -710,17 +798,66 @@ class TestAgainstSlowOracles:
                 Scenario(timing(2), R, 1.0, worst - 1, users, tdma_set(2, 0),
                          slot_synchronized=True)
 
-    def test_densest_disk_over_many_chunks(self):
-        # 60 users in a 3R square: about 1e5 (centre, user) tests, so the
-        # count runs in many chunks, and a two-point disk holds 2 users
-        # more than any user-centred one
+    def test_densest_disk_over_many_chunks(self, monkeypatch):
+        # 60 users in a 3R square: about 1e5 (centre, user) tests, counted
+        # in blocks of the default size and of much smaller ones, and a
+        # two-point disk holds 2 users more than any user-centred one
         rng = np.random.default_rng(5)
         users = [User(f"u{i}", float(x), float(y), "t0")
                  for i, (x, y) in enumerate(rng.uniform(0, 30, size=(60, 2)))]
         worst = densest_disk_oracle(users, R_SMALL)
-        sc = Scenario(timing(2), R_SMALL, 1.0, worst, users, tdma_set(2, 0),
+        for block in (netsim._DISK_TESTS, 999, 50):
+            monkeypatch.setattr(netsim, "_DISK_TESTS", block)
+            sc = Scenario(timing(2), R_SMALL, 1.0, worst, users, tdma_set(2, 0),
+                          slot_synchronized=True)
+            assert sc.max_disk_users == worst
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=14),
+           st.sampled_from([R_SMALL, 5.0, 7.5]))
+    # buckets are a little over 2R = 20 wide from x = 0: pairs exactly R and
+    # 2R apart, straight and diagonal, on both sides of the edges at 20 and 40
+    @example([(0, 0), (5, 0), (15, 0), (25, 0), (37, 16), (45, 0), (41, 40)], R_SMALL)
+    # a span of 2^40 m is more than 2^20 buckets, so the grid widens
+    @example([(0, 0), (10, 0), (2 ** 40, 0), (2 ** 40 + 12, 16)], R_SMALL)
+    @example([(3, 3), (3, 3), (13, 3)], R_SMALL)  # two users at one point
+    def test_pairs_against_dense_matrix(self, pts, R):
+        xy = np.array(pts, dtype=np.float64).reshape(-1, 2)
+        reach = 2 * R + 2 * (1e-9 * max(1.0, R))
+        i, j, d = near_pairs_oracle(xy, reach)
+        got = netsim._near_pairs(xy, reach)
+        assert [a.tolist() for a in got] == [i.tolist(), j.tolist(), d.tolist()]
+        if not pts:
+            return
+        users = [User(f"u{n}", x, y, "t0") for n, (x, y) in enumerate(pts)]
+        sc = Scenario(timing(2), R, 1.0, len(users), users, tdma_set(2, 0),
                       slot_synchronized=True)
-        assert sc.max_disk_users == worst
+        hears = (d < R) & (i != j)
+        assert [a.tolist() for a in sc.hearing] == [i[hears].tolist(), j[hears].tolist()]
+        assert sc.hearing_dist.tolist() == d[hears].tolist()
+
+    def test_within_agrees_with_hypot_at_the_boundary(self):
+        # points on, just inside and just outside circles of several radii,
+        # where the squared distance alone could round the other way
+        rng = np.random.default_rng(2)
+        theta = rng.uniform(0, 2 * np.pi, size=4000)
+        for r in (1.0, 10.0 + 2e-8, 500.000001, 1000.000002):
+            scale = r * (1 + rng.integers(-8, 9, size=theta.size) * 2.0 ** -52)
+            dx, dy = scale * np.cos(theta), scale * np.sin(theta)
+            assert netsim._within(dx, dy, r).tolist() == (np.hypot(dx, dy) <= r).tolist()
+
+    @pytest.mark.parametrize("spec, h", [
+        ({"random_users": 40, "area": [0, 0, 12, 12], "seed": 3}, 1.0),
+        ({"random_users": 7, "area": [-30, -20, -5, 4], "seed": 8}, 2.5),
+        ({"random_users": 0, "area": [0, 0, 5, 5]}, 1.0),
+        ({"random_users": 400, "area": [0, 0, 8000, 7000], "seed": 1}, 150.0),
+    ])
+    def test_random_users_against_loop(self, spec, h):
+        from protoseq.netsim import _random_users
+        got = [(u.id, u.x, u.y, u.shift) for u in _random_users(spec, h, tdma_set(5, 0))]
+        assert got == random_users_oracle(spec, h, 5)
+        assert all(u.label is None and u.offset_s is None
+                   for u in _random_users(spec, h, tdma_set(5, 0)))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
@@ -781,9 +918,33 @@ class TestAgainstSlowOracles:
         assert log.slot.tolist() == [r[2] for r in rows]
         assert log.arrive_slots.tolist() == [r[3] for r in rows]
         assert log.contention_free.tolist() == contention_free_oracle(log, sc)
+        assert log.loss_cause.tolist() == loss_cause_oracle(log, sc)
         rep = check_block_free(log, sc)
         counts, violations, min_count = block_free_oracle(log, sc)
         assert rep.counts == counts
         assert rep.violations == violations
         assert rep.stats["min_count"] == min_count
         assert rep.stats["neighbor_pairs"] == len(neighbor_pairs_oracle(sc))
+
+
+class TestSparseGeometry:
+    def test_scenario_memory_stays_far_below_a_dense_matrix(self):
+        # the field deployment at 3,000 users: one 3,000 x 3,000 float64
+        # matrix is 72 MB, and building the scenario must stay well below it
+        h, R = 150.0, 500.0
+        labels = list(crt0_set(17, 33).labels)
+        side = math.sqrt(3000 / 400)
+        cfg = {"sequences": {"construction": "crt0", "p": 17, "q": 33, "pad_slots": 4},
+               "tau_s": 1e-6, "R_m": R, "h_m": h, "L": 17 * 33 * 5, "F": 3,
+               "delta_c_slots": 2, "M": 17,
+               "plan": ReusePlan.from_geometry(h, R, labels=labels).to_json(),
+               "users": {"random_users": 3000, "seed": 1,
+                         "area": [0, 0, 8000 * side, 7000 * side]}}
+        tracemalloc.start()
+        try:
+            sc = Scenario.from_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sc.users) == 3000 and sc.hearing[0].size > 3000
+        assert peak < 72e6 / 4
