@@ -23,14 +23,11 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
+# the parser needs CONSTRUCTIONS; verify, hexalloc and netsim are imported
+# inside the one command that runs each, so a cold run loads only its own
 from .config import COMMON_KEYS, CONSTRUCTIONS, sequences_from_config
-from .hexalloc import HexCell, ReusePlan, cluster_size
-from .netsim import (Scenario, check_block_free, frame_offset_audit,
-                     run_superframe)
 from .rscpc import baseline_compare, select_params_prop1, select_params_prop2
 from .sequences import SequenceSet, json_text
-from .verify import (is_ui, max_conflict_free_gap, min_conflict_free_count,
-                     separation_audit, window_audit, xcorr_bound_audit)
 
 
 def _digest(obj) -> str:
@@ -125,6 +122,8 @@ def _load_set(args) -> SequenceSet:
 
 
 def cmd_verify(args) -> int:
+    from .verify import (is_ui, max_conflict_free_gap, min_conflict_free_count,
+                         separation_audit, window_audit, xcorr_bound_audit)
     # the flags default to None so that _warn_unread sees which were given;
     # the defaults are filled in before the manifest's config digest
     mode = args.mode = args.mode or "exhaustive"
@@ -164,6 +163,8 @@ def cmd_verify(args) -> int:
 
 def cmd_alloc(args) -> int:
     import math
+
+    from .hexalloc import HexCell, ReusePlan, cluster_size
     _require(args, "r", "h")
     R, h = float(args.r), float(args.h)
     G, b1, b2 = cluster_size(R, h)
@@ -204,6 +205,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    from .netsim import (Scenario, check_block_free, frame_offset_audit,
+                         run_superframe)
     _require(args, "config")
     with open(args.config) as fh:
         cfg = json.load(fh)
@@ -339,10 +342,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _warn_unread(args) -> None:
-    """Warn on stderr about the common flags a command does not read.
+# the property-specific verify flags each property reads
+_VERIFY_READS = {"ui": (), "xcorr": ("bound",), "separation": ("bound",),
+                 "window": ("window", "p"), "cf-count": ("threshold", "protected"),
+                 "cf-gap": ("bound", "protected")}
 
-    Only a warning: scripts pass --seed and --jobs to every command.
+
+def _warn_unread(args) -> None:
+    """Warn on stderr about the flags a command does not read.
+
+    Only a warning: scripts pass --seed and --jobs to every command, and
+    one verify command line may be reused across properties.
     """
     ui = args.command == "verify" and args.property == "ui"
     if args.jobs is not None and not ui:
@@ -363,6 +373,10 @@ def _warn_unread(args) -> None:
         if drawless and getattr(args, flag) is not None:
             print(f"warning: --{flag} has no effect on 'verify {args.property}'; "
                   "it is always exhaustive", file=sys.stderr)
+    for flag in ("bound", "window", "p", "threshold", "protected"):
+        if getattr(args, flag) is not None and flag not in _VERIFY_READS[args.property]:
+            print(f"warning: --{flag} has no effect on 'verify {args.property}'",
+                  file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -529,6 +529,39 @@ class TestUnreadCommonFlags:
                    "--seed", "2") == 0
         assert "warning" not in capsys.readouterr().err
 
+    # one value for each property-specific verify flag, and the flags each
+    # property reads
+    PROPERTY_FLAGS = {"--bound": "9", "--window": "4", "--p": "3", "--threshold": "1",
+                      "--protected": "g0"}
+
+    @pytest.mark.parametrize("prop, reads", [
+        ("ui", []),
+        ("xcorr", ["--bound"]),
+        ("separation", ["--bound"]),
+        ("window", ["--window", "--p"]),
+        ("cf-count", ["--threshold", "--protected"]),
+        ("cf-gap", ["--bound", "--protected"]),
+    ])
+    def test_property_flags_warn_where_unread(self, prop, reads, capsys):
+        def flags(names):
+            return [a for name in names for a in (name, self.PROPERTY_FLAGS[name])]
+
+        argv = ["verify", prop, "--config", '{"construction":"crt0","p":3,"q":5}',
+                *flags(reads)]
+        code = run(*argv)
+        quiet = capsys.readouterr()
+        assert "warning" not in quiet.err
+        unread = [name for name in self.PROPERTY_FLAGS if name not in reads]
+        assert run(*argv, *flags(unread)) == code
+        out, err = capsys.readouterr()
+        assert err.count("warning:") == len(unread)
+        for name in unread:
+            assert f"warning: {name} has no effect on 'verify {prop}'\n" in err
+        report, plain = json.loads(out), json.loads(quiet.out)
+        for doc in (report, plain):
+            del doc["manifest"]
+        assert report == plain
+
 
 class TestEntryPoints:
     @pytest.mark.skipif(shutil.which("protoseq") is None,
