@@ -114,7 +114,7 @@ def _load_set(args) -> SequenceSet:
         return SequenceSet.load(args.set)
     if getattr(args, "config", None):
         return sequences_from_config(json.loads(args.config))
-    if args.property == "window" and getattr(args, "p", None):
+    if args.property == "window" and getattr(args, "p", None) is not None:
         from .crt import crt0_set
         return crt0_set(int(args.p), 2 * int(args.p) - 1)
     raise ValueError("provide --set FILE or --config JSON"
@@ -129,8 +129,10 @@ def cmd_verify(args) -> int:
     mode = args.mode = args.mode or "exhaustive"
     if args.samples is None:
         args.samples = 100_000
-    s = _load_set(args)
     prop = args.property
+    if prop == "window" and args.p is not None and args.p < 1:
+        raise ValueError(f"--p must be >= 1, got {args.p}")
+    s = _load_set(args)
     protected = args.protected.split(",") if args.protected else None
     if prop == "ui":
         # resolved here, not as the flag's default, so that the host's CPU
@@ -145,7 +147,7 @@ def cmd_verify(args) -> int:
         rep = separation_audit(s, int(args.bound) if args.bound is not None else None)
     elif prop == "window":
         window = int(args.window) if args.window is not None else (
-            2 * int(args.p) if args.p else None)
+            2 * int(args.p) if args.p is not None else None)
         rep = window_audit(s, window=window, mode=mode, samples=args.samples,
                            seed=args.seed)
     elif prop == "cf-count":

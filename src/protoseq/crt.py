@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import (BinarySequence, SequenceSet, _crt_units, _is_prime,
-                        _require_coprime, crt_unmap, pairwise_xcorr_peaks)
+                        _pair_peaks, _require_coprime, crt_unmap)
 
 __all__ = [
     "crt_set",
@@ -182,9 +182,10 @@ def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
         raise ValueError(f"split_labels must name {p} distinct members")
     for lab in spec.split_labels:
         base.get(lab)  # raises KeyError if absent
-    first, second, peak, _ = pairwise_xcorr_peaks(base.sequences)
+    peak = _pair_peaks(base.sequences)
     over = np.flatnonzero(peak > k - 1)
     if over.size:
+        first, second = np.triu_indices(len(base), 1)
         pair = over[0]
         raise ValueError(
             f"base pair ({base.labels[first[pair]]}, {base.labels[second[pair]]}) "

@@ -135,37 +135,78 @@ def pairwise_xcorr_peaks(seqs: Sequence[BinarySequence]) -> tuple[np.ndarray, ..
 
     Returns int64 arrays (i, j, peak, shift): peak is the maximum over t of
     xcorr_profile(seqs[i], seqs[j])[t] and shift the first t reaching it.
-    Each member's profiles against all later members come from one bincount.
+    """
+    first, second = (a.astype(np.int64) for a in np.triu_indices(len(seqs), 1))
+    peak, shift = np.zeros_like(first), np.zeros_like(first)
+    at = 0
+    for prof in _profile_rows(seqs):
+        m = prof.shape[1]
+        peak[at:at + m] = top = prof.max(axis=0)
+        # row t of a profile is shift g*t, g = period // rows (see _profile_rows)
+        shift[at:at + m] = (prof == top).argmax(axis=0) * (seqs[0].period // prof.shape[0])
+        at += m
+    return first, second, peak, shift
+
+
+def _pair_peaks(seqs: Sequence[BinarySequence]) -> np.ndarray:
+    """The peak column of pairwise_xcorr_peaks, without locating the shifts."""
+    k = len(seqs)
+    peak = np.zeros(k * (k - 1) // 2, dtype=np.int64)
+    at = 0
+    for prof in _profile_rows(seqs):
+        m = prof.shape[1]
+        peak[at:at + m] = prof.max(axis=0)
+        at += m
+    return peak
+
+
+def _profile_rows(seqs: Sequence[BinarySequence]) -> Iterator[np.ndarray]:
+    """For each member i < k - 1, its profiles against members i+1, …, k-1.
+
+    Yields an (n/g × (k-1-i)) array whose column c, row t holds
+    hamming_xcorr(seqs[i], seqs[i+1+c], g*t), where g = gcd(period, every
+    one position): two members can only meet at shifts that are multiples
+    of g, so the positions and period are divided by g first.  The array is
+    a view of a buffer reused by the next member.
+
+    With rt[u, j] = 1 iff (-u) mod n is a one of member j, member j's ones
+    at a - t (mod n) are rt[n - a + t, j], so member i's profiles are the
+    sum over its ones a of rt[n - a : 2n - a, i+1:].  No count exceeds the
+    larger weight, which sizes the accumulator's dtype.
     """
     if len({x.period for x in seqs}) > 1:
         raise ValueError("sequences must share a period")
     k = len(seqs)
-    first, second = (a.astype(np.int64) for a in np.triu_indices(k, 1))
-    peak, shift = np.zeros_like(first), np.zeros_like(first)
     if k < 2:
-        return first, second, peak, shift
-    n = seqs[0].period
-    # d = a + n - b lies in [1, 2n), so in the narrowest unsigned type holding
-    # it d - n wraps above every residue when d < n, and min(d, d - n) is
-    # (a - b) mod n; each later member's residues then get their own n bins
-    dt = np.min_scalar_type(2 * n - 1).type
+        return
     sizes = [x.weight for x in seqs]
     flat = np.fromiter(itertools.chain.from_iterable(x.ones for x in seqs),
-                       dtype=dt, count=sum(sizes))
+                       dtype=np.int64, count=sum(sizes))
+    g = math.gcd(seqs[0].period, *flat.tolist())
+    n = seqs[0].period // g
+    flat //= g
+    rows, cols = -flat % n, np.repeat(np.arange(k), sizes)
+    dt = np.min_scalar_type(max(sizes))
+    buf = np.empty(n * (k - 1), dtype=dt)
     bounds = np.cumsum([0, *sizes])
-    base = np.repeat(np.arange(k) * n, sizes)
-    at = 0
-    for i in range(k - 1):
-        m, later = k - i - 1, bounds[i + 1]
-        d = (flat[bounds[i]:later, None] + dt(n)) - flat[later:]
-        np.minimum(d, d - dt(n), out=d)
-        prof = np.bincount((d + (base[later:] - (i + 1) * n)).ravel(),
-                           minlength=m * n).reshape(m, n)
-        row = slice(at, at + m)
-        shift[row] = prof.argmax(axis=1)
-        peak[row] = prof[np.arange(m), shift[row]]
-        at += m
-    return first, second, peak, shift
+    step = -(-(k - 1) // 16)
+    for lo in range(0, k - 1, step):
+        # rt[:, lo+1:] built contiguous, so that each row add below is one
+        # flat add; member i reads columns i - lo onward of the sum
+        block = np.zeros((2 * n, k - 1 - lo), dtype=dt)
+        at = bounds[lo + 1]
+        block[rows[at:], cols[at:] - (lo + 1)] = 1
+        block[n:] = block[:n]
+        acc = buf[:block.size // 2].reshape(n, -1)
+        for i in range(lo, min(lo + step, k - 1)):
+            ones = flat[bounds[i]:bounds[i + 1]].tolist()
+            if not ones:
+                acc.fill(0)
+            else:
+                np.copyto(acc, block[n - ones[0]:2 * n - ones[0]])
+                for a in ones[1:]:
+                    np.add(acc, block[n - a:2 * n - a], out=acc)
+            yield acc[:, i - lo:]
 
 
 def cyclic_min_distance(seqs: Sequence[BinarySequence]) -> int:
@@ -176,9 +217,9 @@ def cyclic_min_distance(seqs: Sequence[BinarySequence]) -> int:
     """
     if len(seqs) < 2:
         raise ValueError("need at least two sequences")
-    i, j, peak, _ = pairwise_xcorr_peaks(seqs)
+    i, j = np.triu_indices(len(seqs), 1)
     weight = np.asarray([x.weight for x in seqs])
-    return int((weight[i] + weight[j] - 2 * peak).min())
+    return int((weight[i] + weight[j] - 2 * _pair_peaks(seqs)).min())
 
 
 def cyclic_order(x: BinarySequence) -> int:

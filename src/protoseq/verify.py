@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sequences import (SequenceSet, json_text, min_separation,
-                        pairwise_xcorr_peaks)
+from .sequences import (SequenceSet, _pair_peaks, json_text, min_separation,
+                        xcorr_profile)
 
 __all__ = [
     "StackedMatrix",
@@ -381,7 +381,8 @@ def _peaks_certify_ui(s: SequenceSet) -> bool:
     others keeps a conflict-free 1 under every assignment.  False proves
     nothing: the shift space must then be scanned.
     """
-    first, second, peak, _ = pairwise_xcorr_peaks(s.sequences)
+    first, second = np.triu_indices(len(s), 1)
+    peak = _pair_peaks(s.sequences)
     covered = np.bincount(first, peak, len(s)) + np.bincount(second, peak, len(s))
     return bool((np.array([x.weight for x in s.sequences]) > covered).all())
 
@@ -559,13 +560,15 @@ def xcorr_bound_audit(s: SequenceSet, bound: int) -> VerifyReport:
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    first, second, peak, shift = pairwise_xcorr_peaks(s.sequences)
+    peak = _pair_peaks(s.sequences)
     worst = int(peak.max(initial=0))
     ce = None
     if worst > bound:
         pair = int(np.argmax(peak))
-        ce = {"pair": [s.labels[first[pair]], s.labels[second[pair]]],
-              "shift": int(shift[pair]), "value": worst}
+        first, second = np.triu_indices(len(s), 1)
+        i, j = first[pair], second[pair]
+        shift = xcorr_profile(s.sequences[i], s.sequences[j]).argmax()
+        ce = {"pair": [s.labels[i], s.labels[j]], "shift": int(shift), "value": worst}
     return VerifyReport("xcorr_bound", "exhaustive", peak.size * s.period, None,
                         "holds" if worst <= bound else "violated", ce,
                         {"max_xcorr": worst, "bound": bound})

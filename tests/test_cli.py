@@ -131,6 +131,17 @@ class TestVerify:
     def test_window_shortcut(self):
         assert run("verify", "window", "--p", "3") == 0
 
+    def test_window_p_zero_is_usage_error(self, capsys):
+        assert run("verify", "window", "--p", "0") == 2
+        assert "error: --p must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_window_p_zero_with_config_is_usage_error(self, capsys):
+        cfg = json.dumps({"construction": "crt0", "p": 3, "q": 5})
+        assert run("verify", "window", "--config", cfg, "--p", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --p must be >= 1, got 0" in captured.err
+
     def test_xcorr_violated(self, capsys):
         cfg = json.dumps({"construction": "crt0", "p": 4, "q": 7})
         assert run("verify", "xcorr", "--config", cfg, "--bound", "1") == 1

@@ -185,6 +185,17 @@ class TestExpandedSet:
             # n too small for the requested M: needs n >= (k-1)(M-1)+1 = 9
             expanded_set(ExpandedSetSpec(base_set=base, p=3, M=5))
 
+    def test_base_audit_names_first_pair_over_bound(self):
+        # k - 1 = 2; pairs (b, d) and (e, f) exceed it, (e, f) by more, and
+        # the error names the lexicographically first of them
+        ones = {"a": (0, 5), "b": (1, 2, 3), "c": (8,), "d": (4, 5, 6),
+                "e": (0, 2, 4, 6), "f": (1, 3, 5, 7)}
+        base = SequenceSet(tuple(BinarySequence(11, o) for o in ones.values()),
+                           tuple(ones), {"n": 7, "k": 3})
+        with pytest.raises(ValueError) as err:
+            expanded_set(ExpandedSetSpec(base_set=base, p=3, M=3))
+        assert str(err.value) == "base pair (b, d) has cross-correlation 3 > k-1 = 2"
+
     def test_guard_and_open_tiers_combine_base_and_split_supports(self, base):
         es = expanded_set(ExpandedSetSpec(base_set=base, p=3, M=3))
         open_lab = es.meta["open_labels"][0]

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protoseq.sequences import (BinarySequence, SequenceSet, crt_map,
-                                crt_unmap, cyclic_min_distance, cyclic_order,
+from protoseq.rscpc import RsCpcParams, pad_set, rs_cpc, tdma_set
+from protoseq.sequences import (BinarySequence, SequenceSet, _pair_peaks,
+                                _profile_rows, crt_map, crt_unmap,
+                                cyclic_min_distance, cyclic_order,
                                 cyclic_shift, hamming_xcorr, min_separation,
                                 pairwise_xcorr_peaks, xcorr_profile)
 
@@ -137,27 +139,82 @@ def families(draw):
         st.integers(min_value=0, max_value=n - 1), max_size=n))))) for _ in range(k)]
 
 
+def assert_matches_profiles(seqs):
+    """pairwise_xcorr_peaks against xcorr_profile, pair by pair."""
+    out = pairwise_xcorr_peaks(seqs)
+    first, second, peak, shift = out
+    pairs = [(i, j) for i in range(len(seqs)) for j in range(i + 1, len(seqs))]
+    assert list(zip(first.tolist(), second.tolist())) == pairs
+    for (i, j), pk, t in zip(pairs, peak.tolist(), shift.tolist()):
+        prof = xcorr_profile(seqs[i], seqs[j])
+        assert (pk, t) == (int(prof.max()), int(prof.argmax()))
+    return out
+
+
 class TestPairwiseXcorrPeaks:
     @given(families())
     @settings(max_examples=150, deadline=None)
     def test_matches_profile_of_every_pair(self, seqs):
-        first, second, peak, shift = pairwise_xcorr_peaks(seqs)
-        pairs = [(i, j) for i in range(len(seqs)) for j in range(i + 1, len(seqs))]
-        assert list(zip(first.tolist(), second.tolist())) == pairs
-        for (i, j), pk, t in zip(pairs, peak.tolist(), shift.tolist()):
-            prof = xcorr_profile(seqs[i], seqs[j])
-            assert (pk, t) == (int(prof.max()), int(prof.argmax()))
+        assert_matches_profiles(seqs)
 
     @pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 32767, 32768, 32769])
     def test_residue_type_boundaries(self, n):
-        # residues are formed in the narrowest unsigned type holding 2n - 1;
-        # these periods put a + n - b on either side of a type's range
+        # periods on either side of an integer type's range: the kernel's
+        # table has 2n rows and member i reads rows n - a to 2n - a of it
         seqs = [seq(n, [0, 1, n // 2, n - 1]), seq(n, [n - 2, n - 1]),
                 seq(n, [0, n // 3, n - 1])]
-        first, second, peak, shift = pairwise_xcorr_peaks(seqs)
-        for i, j, pk, t in zip(first, second, peak, shift):
-            prof = xcorr_profile(seqs[i], seqs[j])
-            assert (pk, t) == (prof.max(), prof.argmax())
+        assert_matches_profiles(seqs)
+
+    @pytest.mark.parametrize("w, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_accumulator_type_boundaries(self, w, dtype):
+        # counts are held in the narrowest unsigned type holding the largest
+        # weight; two copies of a weight-w member meet w times at shift 0
+        x = seq(300, range(w))
+        seqs = [x, x, cyclic_shift(x, 7), seq(300, [5])]
+        assert next(_profile_rows(seqs)).dtype == dtype
+        first, second, peak, shift = assert_matches_profiles(seqs)
+        assert (peak[0], shift[0]) == (w, 0)
+
+    @pytest.mark.parametrize("k", [15, 16, 17, 33, 290])
+    def test_block_edges(self, k):
+        # members are added in 16 column blocks; these sizes put block
+        # edges at, around and inside the family
+        rng = np.random.default_rng(k)
+        seqs = [seq(13, np.flatnonzero(rng.random(13) < 0.3)) for _ in range(k)]
+        assert_matches_profiles(seqs)
+
+    @pytest.mark.parametrize("family, g", [
+        (pad_set(rs_cpc(RsCpcParams(5, 11, 3)), 2).sequences, 3),
+        (tdma_set(7, 2).sequences, 3),
+        ([seq(20, [0, 4, 6]), seq(20, [2, 8]), seq(20, [10, 12, 14, 18]),
+          seq(20, [16])], 2),
+    ])
+    def test_common_divisor_of_positions(self, family, g):
+        # every position and the period share g > 1, so members meet only at
+        # shifts that are multiples of g, and the kernel scans 1 in g of them
+        assert next(_profile_rows(family)).shape[0] == family[0].period // g
+        _, _, _, shift = assert_matches_profiles(family)
+        assert (shift % g == 0).all()
+
+    def test_pairs_that_never_meet(self):
+        # a weight-0 member meets nobody: peak 0, reported at shift 0
+        empty = seq(9, [])
+        seqs = [empty, seq(9, [4, 7]), empty, seq(9, [1, 5, 8]), empty]
+        first, second, peak, shift = assert_matches_profiles(seqs)
+        meets = (first % 2 == 1) & (second % 2 == 1)
+        assert meets.sum() == 1 and peak[meets] == 2
+        assert (peak[~meets] == 0).all() and (shift[~meets] == 0).all()
+
+    @given(families())
+    @settings(max_examples=100, deadline=None)
+    def test_pair_peaks_is_the_peak_column(self, seqs):
+        peak = _pair_peaks(seqs)
+        assert peak.dtype == np.int64
+        assert peak.tolist() == pairwise_xcorr_peaks(seqs)[2].tolist()
+
+    def test_pair_peaks_on_padded_rs_cpc(self):
+        seqs = pad_set(rs_cpc(RsCpcParams(5, 11, 3)), 3).sequences
+        assert _pair_peaks(seqs).tolist() == pairwise_xcorr_peaks(seqs)[2].tolist()
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_dtype_and_shape(self, k):

@@ -10,7 +10,7 @@ from protoseq import verify
 from protoseq.crt import (ExpandedSetSpec, crt0_set, crt_set, expanded_set,
                           select_expansion_base)
 from protoseq.rscpc import RsCpcParams, rs_cpc
-from protoseq.sequences import BinarySequence, SequenceSet
+from protoseq.sequences import BinarySequence, SequenceSet, hamming_xcorr
 from protoseq.verify import (_BATCH, StackedMatrix, StateCapExceeded,
                              VerifyReport, _assignment_batches,
                              _max_circular_run, _max_packed_run, _rotations,
@@ -457,6 +457,26 @@ class TestXcorrBoundAudit:
         r = xcorr_bound_audit(crt0_set(4, 7), 1)
         assert r.verdict == "violated"
         assert r.counterexample == {"pair": ["g0", "g2"], "shift": 0, "value": 2}
+
+    def test_tied_peaks_report_first_pair_at_first_shift(self):
+        # a, b and c rotate one word of period 6, so each of their three
+        # pairs peaks at 4 at two shifts; d comes first and peaks lower
+        ones = {"d": (0, 3), "a": (0, 1, 6, 7), "b": (2, 3, 8, 9), "c": (0, 5, 6, 11)}
+        s = SequenceSet(tuple(BinarySequence(12, o) for o in ones.values()), tuple(ones))
+        best = None
+        for i, j in itertools.combinations(range(len(s)), 2):
+            for t in range(s.period):
+                v = hamming_xcorr(s.sequences[i], s.sequences[j], t)
+                if best is None or v > best[0]:
+                    best = (v, i, j, t)
+        v, i, j, t = best
+        tied = [[u for u in range(s.period) if hamming_xcorr(x, y, u) == v]
+                for x, y in itertools.combinations(s.sequences, 2)]
+        assert sorted(map(len, tied)) == [0, 0, 0, 2, 2, 2]
+        r = xcorr_bound_audit(s, v - 1)
+        assert r.counterexample == {"pair": [s.labels[i], s.labels[j]],
+                                    "shift": t, "value": v}
+        assert r.counterexample == {"pair": ["a", "b"], "shift": 4, "value": 4}
 
     def test_negative_bound_is_rejected(self):
         solo = SequenceSet((BinarySequence(5, (2,)),), ("solo",))
