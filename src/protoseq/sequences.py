@@ -142,8 +142,7 @@ def pairwise_xcorr_peaks(seqs: Sequence[BinarySequence]) -> tuple[np.ndarray, ..
     for prof in _profile_rows(seqs):
         m = prof.shape[1]
         peak[at:at + m] = top = prof.max(axis=0)
-        # row t of a profile is shift g*t, g = period // rows (see _profile_rows)
-        shift[at:at + m] = (prof == top).argmax(axis=0) * (seqs[0].period // prof.shape[0])
+        shift[at:at + m] = (prof == top).argmax(axis=0)
         at += m
     return first, second, peak, shift
 
@@ -163,11 +162,9 @@ def _pair_peaks(seqs: Sequence[BinarySequence]) -> np.ndarray:
 def _profile_rows(seqs: Sequence[BinarySequence]) -> Iterator[np.ndarray]:
     """For each member i < k - 1, its profiles against members i+1, …, k-1.
 
-    Yields an (n/g × (k-1-i)) array whose column c, row t holds
-    hamming_xcorr(seqs[i], seqs[i+1+c], g*t), where g = gcd(period, every
-    one position): two members can only meet at shifts that are multiples
-    of g, so the positions and period are divided by g first.  The array is
-    a view of a buffer reused by the next member.
+    Yields an (n × (k-1-i)) array whose column c, row t holds
+    hamming_xcorr(seqs[i], seqs[i+1+c], t).  The array is a view of a
+    buffer reused by the next member.
 
     With rt[u, j] = 1 iff (-u) mod n is a one of member j, member j's ones
     at a - t (mod n) are rt[n - a + t, j], so member i's profiles are the
@@ -182,9 +179,7 @@ def _profile_rows(seqs: Sequence[BinarySequence]) -> Iterator[np.ndarray]:
     sizes = [x.weight for x in seqs]
     flat = np.fromiter(itertools.chain.from_iterable(x.ones for x in seqs),
                        dtype=np.int64, count=sum(sizes))
-    g = math.gcd(seqs[0].period, *flat.tolist())
-    n = seqs[0].period // g
-    flat //= g
+    n = seqs[0].period
     rows, cols = -flat % n, np.repeat(np.arange(k), sizes)
     dt = np.min_scalar_type(max(sizes))
     buf = np.empty(n * (k - 1), dtype=dt)

@@ -191,8 +191,7 @@ class TestPairwiseXcorrPeaks:
     ])
     def test_common_divisor_of_positions(self, family, g):
         # every position and the period share g > 1, so members meet only at
-        # shifts that are multiples of g, and the kernel scans 1 in g of them
-        assert next(_profile_rows(family)).shape[0] == family[0].period // g
+        # shifts that are multiples of g
         _, _, _, shift = assert_matches_profiles(family)
         assert (shift % g == 0).all()
 
