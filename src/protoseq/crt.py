@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import (BinarySequence, SequenceSet, _crt_units, _is_prime,
-                        _pair_peaks, _require_coprime, crt_unmap)
+from .rscpc import _min_code
+from .sequences import (BinarySequence, SequenceSet, _is_prime, _pair_peaks,
+                        _require_coprime, crt_unmap)
 
 __all__ = [
     "crt_set",
@@ -26,16 +27,18 @@ __all__ = [
 ]
 
 
-def _crt_member(p: int, q: int, g: int) -> BinarySequence:
-    # generator g places the j-th one at the position with residues (j*g mod p, j mod q)
-    ones = sorted(crt_unmap(((j * g) % p, j % q), p, q) for j in range(p))
-    return BinarySequence(p * q, tuple(ones))
-
-
-def _check_crt_params(p: int, q: int) -> None:
+def _crt_family(p: int, q: int, steps: list[tuple[int, int]], labels: list[str],
+                construction: str) -> SequenceSet:
+    # member (a, b) of steps places its j-th one, j in [0, p), at the
+    # position with residues (j*a mod p, j*b mod q)
     _require_coprime(p, q)
     if q < 2 * p - 1:
         raise ValueError(f"q must be at least 2p-1 = {2 * p - 1}, got {q}")
+    a, b = np.array(steps).T[:, :, None]
+    j = np.arange(p)
+    ones = np.sort(crt_unmap((j * a % p, j * b % q), p, q), axis=1).tolist()
+    return SequenceSet(tuple(BinarySequence(p * q, tuple(o)) for o in ones),
+                       tuple(labels), {"construction": construction, "p": p, "q": q})
 
 
 def crt_set(p: int, q: int) -> SequenceSet:
@@ -50,11 +53,8 @@ def crt_set(p: int, q: int) -> SequenceSet:
     accepted, but members whose difference shares a factor with p coincide
     more often: g0 and g2 of crt_set(4, 7) meet twice at shift 0.
     """
-    _check_crt_params(p, q)
-    seqs = [_crt_member(p, q, g) for g in range(p)]
-    labels = [f"g{g}" for g in range(p)]
-    meta = {"construction": "crt", "p": p, "q": q}
-    return SequenceSet(tuple(seqs), tuple(labels), meta)
+    return _crt_family(p, q, [(g, 1) for g in range(p)], [f"g{g}" for g in range(p)],
+                       "crt")
 
 
 def crt0_set(p: int, q: int) -> SequenceSet:
@@ -70,15 +70,9 @@ def crt0_set(p: int, q: int) -> SequenceSet:
     accepted and can reach 2: g0 and g2 of crt0_set(4, 7) meet twice at
     shift 0.
     """
-    _check_crt_params(p, q)
-    gens = [0] + list(range(2, p))
-    seqs = [_crt_member(p, q, g) for g in gens]
-    labels = [f"g{g}" for g in gens]
-    star = sorted(crt_unmap((j % p, 0), p, q) for j in range(p))
-    seqs.append(BinarySequence(p * q, tuple(star)))
-    labels.append("*")
-    meta = {"construction": "crt0", "p": p, "q": q}
-    return SequenceSet(tuple(seqs), tuple(labels), meta)
+    gens = [0, *range(2, p)]
+    return _crt_family(p, q, [(g, 1) for g in gens] + [(1, 0)],
+                       [f"g{g}" for g in gens] + ["*"], "crt0")
 
 
 def all_ones(length: int) -> BinarySequence:
@@ -105,17 +99,15 @@ def _products(x: BinarySequence, ys: list[BinarySequence]) -> list[BinarySequenc
     px, py = x.period, ys[0].period
     if math.gcd(px, py) != 1:
         raise ValueError(f"factor periods must be coprime, got ({px}, {py})")
-    # crt_unmap over every pair at once: l = a*ex + b*ey mod px*py, where ex
-    # is 1 mod px and 0 mod py, and ey the other way round; y's products are
-    # keyed to [y*n, (y+1)*n), so one sort orders each within its own range
+    # crt_unmap over every pair at once; y's products are keyed to
+    # [y*n, (y+1)*n), so one sort orders each within its own range
     n = px * py
-    ex, ey = _crt_units(px, py)
     sizes = [y.weight for y in ys]
     a = np.asarray(x.ones, dtype=np.int64)
     b = np.fromiter(itertools.chain.from_iterable(y.ones for y in ys),
                     dtype=np.int64, count=sum(sizes))
     base = np.repeat(np.arange(len(ys)) * n, sizes)
-    keys = np.sort(((b[:, None] * ey + a * ex) % n + base[:, None]).ravel())
+    keys = np.sort((crt_unmap((a, b[:, None]), px, py) + base[:, None]).ravel())
     ones = (keys % n).tolist()
     cuts = [0, *itertools.accumulate(w * x.weight for w in sizes)]
     return [BinarySequence(n, tuple(ones[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
@@ -229,21 +221,8 @@ def select_expansion_base(p: int, M: int, k: int = 3, field_cap: int = 997) -> t
     minimizing the base period n*field (ties: smaller field, then smaller n).
     """
     spread = p * (2 * p - 1)
-    n_min = (k - 1) * (M - 1) + 1
-    n_lo = max(n_min, k + 1)
-    best = None
-    for f in range(3, field_cap + 1):
-        if best is not None and n_lo * f >= best[0]:
-            # every later field has period >= n_lo*f and loses the field tie
-            break
-        if not _is_prime(f):
-            continue
-        for n in range(n_lo, f):
-            if (f - 1) % n != 0 or math.gcd(spread, n * f) != 1:
-                continue
-            cand = (n * f, f, n)
-            if best is None or cand < best:
-                best = cand
+    best = _min_code(range(3, field_cap + 1), max((k - 1) * (M - 1) + 1, k + 1),
+                     field_cap, lambda n, f: k if math.gcd(spread, n * f) == 1 else None)
     if best is None:
         raise ValueError(
             f"no feasible base triple with k={k}, M={M}, p={p} and field <= {field_cap}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import BinarySequence, SequenceSet, _crt_units, _is_prime
+from .sequences import BinarySequence, SequenceSet, _is_prime, crt_unmap
 
 __all__ = [
     "RsCpcParams",
@@ -103,8 +103,7 @@ def rs_cpc(params: RsCpcParams) -> SequenceSet:
     msgs = np.indices((p,) * (k - 2)).reshape(k - 2, -1).T
     powers = np.array([[pow(x, i, p) for x in points] for i in range(2, k)])
     rows = (msgs @ powers + points) % p
-    e_row, e_col = _crt_units(p, n)
-    ones = np.sort((rows * e_row + np.arange(n) * e_col) % (n * p), axis=1)
+    ones = np.sort(crt_unmap((rows, np.arange(n)), p, n), axis=1)
     seqs = [BinarySequence(n * p, tuple(o)) for o in ones.tolist()]
     labels = [",".join(map(str, m)) for m in msgs.tolist()]
     meta = {"construction": "rs_cpc", "n": n, "p": p, "k": k, "alpha": alpha}
@@ -165,35 +164,37 @@ def _feasible_k(n: int, p: int, M: int, G: int, codebook_exponent_offset: int) -
     return None
 
 
+def _min_code(primes: range, floor: int, n_cap: int, fit) -> tuple | None:
+    """Least (n*p, p, n, fit(n, p)) over primes p in `primes` and divisors n
+    of p-1 in [floor, min(p, n_cap)] whose fit is not None."""
+    best = None
+    for p in primes:
+        if best is not None and best[0] <= floor * p:
+            break  # n*p >= floor*p, so no later p can win
+        if not _is_prime(p):
+            continue
+        for n in range(floor, min(p, n_cap) + 1):
+            if (p - 1) % n == 0 and (found := fit(n, p)) is not None:
+                if best is None or n * p < best[0]:
+                    best = (n * p, p, n, found)
+                break  # the least n of this p
+    return best
+
+
 def _search(scheme: str, M: int, G: int, delta: int, offset: int,
             frame_factor: int, p_cap: int, n_cap: int) -> SelectedParams:
     if M < 2 or G < 1 or delta < 0:
         raise ValueError(f"need M >= 2, G >= 1, delta >= 0; got M={M} G={G} delta={delta}")
     n_min = max(4, 2 * (M - 1) + 1)  # smallest n admitting k = 3
-    best = None
-    for p in range(max(M, 5), p_cap + 1):
-        if not _is_prime(p):
-            continue
-        if best is not None and best[0] <= frame_factor * n_min * p:
-            # period grows at least linearly in p, so no later p can win
-            break
-        for n in range(n_min, min(p, n_cap) + 1):
-            if (p - 1) % n != 0:
-                continue
-            k = _feasible_k(n, p, M, G, offset)
-            if k is None:
-                continue
-            period = frame_factor * n * p
-            cand = (period, p, n, k)
-            if best is None or cand[:3] < best[:3]:
-                best = cand
+    best = _min_code(range(max(M, 5), p_cap + 1), n_min, n_cap,
+                     lambda n, p: _feasible_k(n, p, M, G, offset))
     if best is None:
         raise ParamSearchError(
             f"{scheme}: no admissible (n, p, k) with p <= {p_cap}, n <= {n_cap} "
             f"for M={M}, G={G}, delta={delta}"
         )
-    period, p, n, k = best
-    return SelectedParams(scheme, M, G, delta, n, p, k, period)
+    _, p, n, k = best
+    return SelectedParams(scheme, M, G, delta, n, p, k, frame_factor * n * p)
 
 
 def select_params_prop1(M: int, G: int, delta: int,

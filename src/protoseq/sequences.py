@@ -247,24 +247,22 @@ def crt_map(l: int, p: int, q: int) -> CrtIndexPair:
     return CrtIndexPair(l % p, l % q)
 
 
-def crt_unmap(pair: tuple[int, int], p: int, q: int) -> int:
-    """Inverse of crt_map: the unique l in [0, pq) with the given residues."""
+def crt_unmap(pair, p: int, q: int):
+    """Inverse of crt_map: the unique l in [0, pq) with the given residues.
+
+    l = r*e_p + c*e_q mod pq, where e_p is 1 mod p and 0 mod q and e_q the
+    other way round.  The residues r and c may be ints, mapped exactly, or
+    int64 arrays, mapped element-wise as numpy broadcasts them.
+    """
     _require_coprime(p, q)
     r, c = pair
-    e_p, e_q = _crt_units(p, q)
-    return (r * e_p + c * e_q) % (p * q)
+    n = p * q
+    return (r * (q * pow(q, -1, p) % n) + c * (p * pow(p, -1, q) % n)) % n
 
 
 def json_text(doc) -> str:
     """The package's JSON data format: two-space indent, sorted keys, final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _crt_units(p: int, q: int) -> tuple[int, int]:
-    """(e_p, e_q) for coprime p, q: e_p is 1 mod p and 0 mod q, e_q the other
-    way round, so r*e_p + c*e_q mod pq has residues (r mod p, c mod q)."""
-    n = p * q
-    return q * pow(q, -1, p) % n, p * pow(p, -1, q) % n
 
 
 def _require_coprime(p: int, q: int) -> None:

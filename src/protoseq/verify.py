@@ -325,31 +325,22 @@ def _max_packed_run(words: np.ndarray, n: int) -> np.ndarray:
     itself moved down one column round the period, so a bit survives t
     steps where a run of t + 1 starts; a row's run is the number of steps
     it stays non-zero, at most n.  The steps stop when every row is empty,
-    and rows are dropped once three quarters of them are, so the work
-    follows the runs, not the period.
+    so the work follows the longest run of the block, not the period.
     """
     top = (n - 1) % 64
     out = np.zeros(words.shape[1], dtype=np.int64)
-    live = np.arange(words.shape[1])  # the rows of `out` that `y` holds
-    run = np.zeros_like(out)
     y = words.copy()
     down = np.empty_like(y)
     for _ in range(n):
         nz = y.any(axis=0)
-        left = np.count_nonzero(nz)
-        if not left:
+        if not nz.any():
             break
-        run += nz
-        if 4 * left <= nz.size:
-            out[live] = run
-            live, run, y = live[nz], run[nz], y[:, nz]
-            down = np.empty_like(y)
+        out += nz
         np.right_shift(y, 1, out=down)
         if len(y) > 1:
             down[:-1] |= y[1:] << 63
         down[-1] |= (y[0] & 1) << top
         y &= down
-    out[live] = run
     return out
 
 
@@ -408,12 +399,6 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
     _check_mode(mode, samples)
     n = s.period
     k = len(s)
-    if k == 1:
-        verdict = "holds" if s.sequences[0].weight >= 1 else "violated"
-        ce = None if verdict == "holds" else {"shifts": [0]}
-        return VerifyReport("ui", "exhaustive", 1, None, verdict, ce,
-                            {"members": 1, "period": n})
-
     stats = {"members": k, "period": n}
     if mode == "exhaustive":
         states = _check_cap(n, k, state_cap)
@@ -421,8 +406,9 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
         if _peaks_certify_ui(s):
             return VerifyReport("ui", "exhaustive", states, None, "holds", None, stats)
         rot = _rotations(s)
+        # no more chunks than states: one member has a single state
         args = [(rot, mode, 0, None, state_cap, lo, hi)
-                for lo, hi in _chunk_ranges(n, jobs)]
+                for lo, hi in _chunk_ranges(n, min(jobs, states))]
         if len(args) == 1:
             found = [_scan_ui(args[0])]
         else:
@@ -473,6 +459,8 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
         threshold = s.meta.get("cf_floor")
     if threshold is None:
         raise ValueError("threshold required (no cf_floor in meta)")
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     idx = _protected_indices(s, protected_labels)
     rot = _rotations(s)
     index, ce, low, scanned = _scan(
@@ -500,6 +488,8 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
         bound = s.meta.get("cf_gap_bound")
     if bound is None:
         raise ValueError("bound required (no cf_gap_bound in meta)")
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     idx = _protected_indices(s, protected_labels)
     rot = _rotations(s)
     n = s.period
@@ -584,15 +574,15 @@ def separation_audit(s: SequenceSet, bound: int | None = None) -> VerifyReport:
         if p is None:
             raise ValueError("bound required (no p in meta)")
         bound = int(p)
-    worst = None
-    ce = None
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     for label, seq in s:
-        m = min_separation(seq)
-        if worst is None or m < worst:
-            worst = m
-            if m < bound:
-                ce = {"label": label, "min_separation": m, "bound": bound}
-    verdict = "holds" if worst is not None and worst >= bound else "violated"
-    return VerifyReport("min_separation", "exhaustive", len(s), None, verdict,
-                        ce if verdict == "violated" else None,
+        if seq.weight < 2:
+            raise ValueError(f"member {label!r} has no min separation: fewer than two ones")
+    seps = [min_separation(seq) for seq in s.sequences]
+    worst = min(seps)
+    ce = None if worst >= bound else {
+        "label": s.labels[seps.index(worst)], "min_separation": worst, "bound": bound}
+    return VerifyReport("min_separation", "exhaustive", len(s), None,
+                        "holds" if ce is None else "violated", ce,
                         {"min_separation": worst, "bound": bound})

@@ -160,6 +160,27 @@ class TestVerify:
         crt0_set(5, 9).save(str(f))
         assert run("verify", "separation", "--set", str(f)) == 0
 
+    def test_separation_names_a_member_with_one_one(self, capsys):
+        cfg = json.dumps({"sequences": [
+            {"period": 6, "ones": [0, 3], "label": "pair"},
+            {"period": 6, "ones": [4], "label": "lone"}]})
+        assert run("verify", "separation", "--config", cfg, "--bound", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: member 'lone' has no min separation" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["cf-count", "--protected", "g0", "--threshold", "-1"],
+         "threshold must be >= 0, got -1"),
+        (["cf-gap", "--protected", "g0", "--bound", "0"], "bound must be >= 1, got 0"),
+        (["separation", "--bound", "-2"], "bound must be >= 0, got -2"),
+    ])
+    def test_limit_deciding_without_a_scan_is_usage_error(self, argv, message, capsys):
+        assert run("verify", *argv, "--config", '{"construction":"crt0","p":3,"q":5}') == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
     def test_report_file_and_rerun(self, tmp_path):
         f = tmp_path / "s.json"
         crt0_set(3, 5).save(str(f))

@@ -11,6 +11,27 @@ from protoseq.sequences import (BinarySequence, SequenceSet, crt_unmap,
                                 cyclic_shift, hamming_xcorr, xcorr_profile)
 
 
+def crt_member_oracle(p, q, g):
+    """Slow oracle: generator g's ones, one crt_unmap call per residue pair."""
+    return tuple(sorted(crt_unmap(((j * g) % p, j % q), p, q) for j in range(p)))
+
+
+class TestCrtFamiliesAgainstOracle:
+    @pytest.mark.parametrize("p", range(1, 14))
+    def test_every_member(self, p):
+        for q in [q for q in range(2 * p - 1, 2 * p + 9) if math.gcd(p, q) == 1][:3]:
+            s = crt_set(p, q)
+            assert [x.ones for x in s.sequences] == [
+                crt_member_oracle(p, q, g) for g in range(p)]
+            gens = [0, *range(2, p)]
+            s0 = crt0_set(p, q)
+            assert s0.labels == (*(f"g{g}" for g in gens), "*")
+            star = tuple(sorted(crt_unmap((j % p, 0), p, q) for j in range(p)))
+            assert [x.ones for x in s0.sequences] == [
+                *(crt_member_oracle(p, q, g) for g in gens), star]
+            assert {x.period for x in s.sequences + s0.sequences} == {p * q}
+
+
 class TestCrtSet:
     def test_small_instance_frozen(self):
         # hand-computed via residue pairs (j*g mod p, j mod q)

@@ -252,6 +252,13 @@ class TestCrtIndexing:
         assert tuple(crt_map(7, 3, 5)) == (1, 2)
         assert crt_unmap((1, 2), 3, 5) == 7
 
+    def test_unmap_maps_arrays_element_wise(self):
+        r, c = np.arange(11)[:, None], np.arange(13)
+        got = crt_unmap((r, c), 11, 13)
+        assert got.shape == (11, 13)
+        assert got.tolist() == [[crt_unmap((a, b), 11, 13) for b in range(13)]
+                                for a in range(11)]
+
     @given(st.integers(0, 10_000))
     def test_roundtrip(self, l):
         p, q = 11, 13

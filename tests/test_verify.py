@@ -127,6 +127,24 @@ class TestIsUi:
         s = SequenceSet((BinarySequence(5, (2,)),), ("solo",))
         assert is_ui(s).holds
 
+    def test_single_member_random_report(self):
+        s = SequenceSet((BinarySequence(5, (2,)),), ("solo",))
+        r = is_ui(s, mode="random", samples=40, seed=9)
+        assert (r.mode, r.samples, r.seed, r.verdict) == ("random", 40, 9, "holds")
+        assert r.stats == {"members": 1, "period": 5, "min_conflict_free_count": 1}
+
+    def test_weightless_single_member_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        s = SequenceSet((BinarySequence(5, ()),), ("silent",))
+        one = is_ui(s, jobs=1).to_json()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert is_ui(s, jobs=2).to_json() == one
+        assert one["samples"] == 1 and one["counterexample"] == {"shifts": [0]}
+
     @pytest.mark.parametrize("kw, message", [
         (dict(mode="random", samples=-5), "samples >= 1, got -5"),
         (dict(mode="guess"), "mode must be"),
@@ -315,6 +333,23 @@ class TestZeroColumnWindow:
         got = _max_packed_run(np.ascontiguousarray(words), n)
         assert got.tolist() == _max_circular_run(bits).tolist()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, 40),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)),
+                 min_size=1, max_size=40))))
+    def test_max_packed_run_with_one_period_long_run(self, case):
+        # one row stays non-zero for the whole period while the short runs end
+        n, at, short = case
+        bits = np.zeros((len(short), n), dtype=bool)
+        for row, (start, length) in enumerate(short):
+            bits[row, (start + np.arange(length)) % n] = True
+        bits = np.insert(bits, min(at, len(short)), True, axis=0)
+        padded = np.pad(bits, ((0, 0), (0, -n % 64)))
+        words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64).T
+        got = _max_packed_run(np.ascontiguousarray(words), n)
+        assert got.tolist() == _max_circular_run(bits).tolist()
+
 
 class TestWindowAudit:
     def test_crt0_3_5_exhaustive(self):
@@ -484,6 +519,19 @@ class TestXcorrBoundAudit:
             xcorr_bound_audit(solo, -1)
 
 
+class TestLimitsThatDecideWithoutAScan:
+    @pytest.mark.parametrize("audit, kw, message", [
+        (min_conflict_free_count, dict(threshold=-1), "threshold must be >= 0, got -1"),
+        (max_conflict_free_gap, dict(bound=0), "bound must be >= 1, got 0"),
+        (separation_audit, dict(bound=-2), "bound must be >= 0, got -2"),
+    ])
+    def test_rejected(self, audit, kw, message):
+        if audit is not separation_audit:
+            kw.update(protected_labels=["g0"], samples=10, seed=1)
+        with pytest.raises(ValueError, match=message):
+            audit(crt0_set(3, 5), **kw)
+
+
 class TestSeparationAudit:
     def test_default_bound_from_meta(self):
         r = separation_audit(crt0_set(5, 9))
@@ -499,6 +547,20 @@ class TestSeparationAudit:
         s = SequenceSet((BinarySequence(6, (0, 3)),), ("a",))
         with pytest.raises(ValueError):
             separation_audit(s)
+
+    def test_member_with_one_one_is_named(self):
+        s = SequenceSet((BinarySequence(6, (0, 3)), BinarySequence(6, (4,))),
+                        ("pair", "lone"))
+        with pytest.raises(ValueError, match="member 'lone' has no min separation"):
+            separation_audit(s, bound=2)
+
+    def test_first_member_at_the_minimum_is_reported(self):
+        s = SequenceSet(tuple(BinarySequence(12, ones) for ones in
+                              [(0, 6), (0, 2, 5), (1, 3, 9), (0, 4, 8)]),
+                        ("a", "b", "c", "d"))
+        r = separation_audit(s, bound=3)
+        assert r.counterexample == {"label": "b", "min_separation": 2, "bound": 3}
+        assert r.stats == {"min_separation": 2, "bound": 3}
 
 
 # ---------------------------------------------------------------------------
