@@ -116,7 +116,7 @@ def _load_set(args) -> SequenceSet:
         return sequences_from_config(json.loads(args.config))
     if args.property == "window" and getattr(args, "p", None) is not None:
         from .crt import crt0_set
-        return crt0_set(int(args.p), 2 * int(args.p) - 1)
+        return crt0_set(args.p, 2 * args.p - 1)
     raise ValueError("provide --set FILE or --config JSON"
                      + (" or --p" if args.property == "window" else ""))
 
@@ -142,22 +142,22 @@ def cmd_verify(args) -> int:
                     jobs=jobs)
     elif prop == "xcorr":
         _require(args, "bound")
-        rep = xcorr_bound_audit(s, int(args.bound))
+        rep = xcorr_bound_audit(s, args.bound)
     elif prop == "separation":
-        rep = separation_audit(s, int(args.bound) if args.bound is not None else None)
+        rep = separation_audit(s, args.bound)
     elif prop == "window":
-        window = int(args.window) if args.window is not None else (
-            2 * int(args.p) if args.p is not None else None)
+        window = args.window if args.window is not None else (
+            2 * args.p if args.p is not None else None)
         rep = window_audit(s, window=window, mode=mode, samples=args.samples,
                            seed=args.seed)
     elif prop == "cf-count":
         rep = min_conflict_free_count(
             s, protected, mode=mode, samples=args.samples, seed=args.seed,
-            threshold=int(args.threshold) if args.threshold is not None else None)
+            threshold=args.threshold)
     elif prop == "cf-gap":
         rep = max_conflict_free_gap(
             s, protected, mode=mode, samples=args.samples, seed=args.seed,
-            bound=int(args.bound) if args.bound is not None else None)
+            bound=args.bound)
     _emit(rep.to_json(), args, _manifest_core(args))
     print(f"{prop}: {rep.verdict}", file=sys.stderr)
     return rep.exit_code
@@ -166,15 +166,14 @@ def cmd_verify(args) -> int:
 def cmd_alloc(args) -> int:
     import math
 
-    from .hexalloc import HexCell, ReusePlan, cluster_size
+    from .hexalloc import HexCell, ReusePlan
     _require(args, "r", "h")
-    R, h = float(args.r), float(args.h)
-    G, b1, b2 = cluster_size(R, h)
+    R, h = args.r, args.h
+    plan = ReusePlan.from_geometry(h, R)
     d = math.sqrt(3.0) * h
-    doc = {"G": G, "b1": b1, "b2": b2,
+    doc = {"G": plan.G, "b1": plan.b1, "b2": plan.b2,
            "threshold": (2 * R / d) ** 2,
-           "min_cochannel_m": d * math.sqrt(G)}
-    plan = ReusePlan(h, R, G, b1, b2)
+           "min_cochannel_m": d * math.sqrt(plan.G)}
     if args.cell:
         try:
             m, n = (int(v) for v in args.cell.split(","))
@@ -185,7 +184,7 @@ def cmd_alloc(args) -> int:
         print(f"cell ({m},{n}) -> index {doc['index']}", file=sys.stderr)
     else:
         doc["plan"] = plan.to_json()
-        print(f"G={G} (b1={b1}, b2={b2}), min cochannel "
+        print(f"G={plan.G} (b1={plan.b1}, b2={plan.b2}), min cochannel "
               f"{doc['min_cochannel_m']:.3f} m", file=sys.stderr)
     _emit(doc, args, _manifest_core(args))
     return 0
@@ -195,9 +194,9 @@ def cmd_params(args) -> int:
     _require(args, "m", "g")
     if args.scheme == "prop1":
         _require(args, "delta")
-        sel = select_params_prop1(int(args.m), int(args.g), int(args.delta))
+        sel = select_params_prop1(args.m, args.g, args.delta)
     else:
-        sel = select_params_prop2(int(args.m), int(args.g))
+        sel = select_params_prop2(args.m, args.g)
     doc = {"scheme": sel.scheme, "M": sel.M, "G": sel.G, "delta": sel.delta,
            "n": sel.n, "p": sel.p, "k": sel.k, "frame_slots": sel.period}
     _emit(doc, args, _manifest_core(args))
@@ -244,7 +243,7 @@ def cmd_sim(args) -> int:
 
 def cmd_compare(args) -> int:
     _require(args, "m", "g", "delta")
-    table = baseline_compare(int(args.m), int(args.g), int(args.delta))
+    table = baseline_compare(args.m, args.g, args.delta)
     if args.format == "csv":
         lines = ["scheme,frame_slots,meets_floor,params"]
         for r in table["rows"]:

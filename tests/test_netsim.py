@@ -341,7 +341,7 @@ class TestFrameOffsetAudit:
                              np.zeros(0, dtype=np.int32),
                              np.zeros(0, dtype=np.int32),
                              np.zeros(0, dtype=np.int64), np.zeros(0),
-                             np.zeros(0), np.zeros(0, dtype=bool))
+                             np.zeros(0, dtype=np.uint8))
         assert frame_offset_audit(empty, sc)
 
     def test_detects_out_of_window_arrival(self):
@@ -351,8 +351,7 @@ class TestFrameOffsetAudit:
                             np.array([0], dtype=np.int32),
                             np.array([1], dtype=np.int32),
                             np.array([0], dtype=np.int64),
-                            np.array([45.0]), np.array([46.0]),
-                            np.array([True]))
+                            np.array([45.0]), np.array([0], dtype=np.uint8))
         assert not frame_offset_audit(late, sc)
 
     def test_holds_on_simulated_logs(self):
@@ -894,8 +893,7 @@ class TestAgainstSlowOracles:
                              np.append(log.tx, np.int32(2)),
                              np.append(log.rx, np.int32(0)),
                              np.append(log.slot, 5), np.append(log.arrive_slots, 5.0),
-                             np.append(log.end_slots, 6.0),
-                             np.append(log.contention_free, True))
+                             np.append(log.loss_cause, np.uint8(0)))
         rep = check_block_free(extra, sc)
         assert rep.counts == block_free_oracle(extra, sc)[0]
         assert rep.counts == check_block_free(log, sc).counts
@@ -927,24 +925,44 @@ class TestAgainstSlowOracles:
         assert rep.stats["neighbor_pairs"] == len(neighbor_pairs_oracle(sc))
 
 
+def field_config(users):
+    """The 400-user field deployment on an area scaled to keep its density."""
+    h, R = 150.0, 500.0
+    labels = list(crt0_set(17, 33).labels)
+    side = math.sqrt(users / 400)
+    return {"sequences": {"construction": "crt0", "p": 17, "q": 33, "pad_slots": 4},
+            "tau_s": 1e-6, "R_m": R, "h_m": h, "L": 17 * 33 * 5, "F": 3,
+            "delta_c_slots": 2, "M": 17,
+            "plan": ReusePlan.from_geometry(h, R, labels=labels).to_json(),
+            "users": {"random_users": users, "seed": 1,
+                      "area": [0, 0, 8000 * side, 7000 * side]}}
+
+
 class TestSparseGeometry:
     def test_scenario_memory_stays_far_below_a_dense_matrix(self):
         # the field deployment at 3,000 users: one 3,000 x 3,000 float64
         # matrix is 72 MB, and building the scenario must stay well below it
-        h, R = 150.0, 500.0
-        labels = list(crt0_set(17, 33).labels)
-        side = math.sqrt(3000 / 400)
-        cfg = {"sequences": {"construction": "crt0", "p": 17, "q": 33, "pad_slots": 4},
-               "tau_s": 1e-6, "R_m": R, "h_m": h, "L": 17 * 33 * 5, "F": 3,
-               "delta_c_slots": 2, "M": 17,
-               "plan": ReusePlan.from_geometry(h, R, labels=labels).to_json(),
-               "users": {"random_users": 3000, "seed": 1,
-                         "area": [0, 0, 8000 * side, 7000 * side]}}
         tracemalloc.start()
         try:
-            sc = Scenario.from_config(cfg)
+            sc = Scenario.from_config(field_config(3000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(sc.users) == 3000 and sc.hearing[0].size > 3000
         assert peak < 72e6 / 4
+
+    def test_superframe_memory_per_reception(self):
+        # the log holds tx and rx (int32), slot (int64), arrival (float64)
+        # and loss cause (uint8), 25 bytes a row; ends and contention-free
+        # flags are derived, not stored
+        sc = Scenario.from_config(field_config(3000))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log = run_superframe(sc, seed=0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log) > 3000
+        assert (peak - base) / len(log) <= 66
+        assert (held - base) / len(log) <= 26
