@@ -23,10 +23,10 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-# the parser needs CONSTRUCTIONS; verify, hexalloc and netsim are imported
-# inside the one command that runs each, so a cold run loads only its own
+# the parser needs CONSTRUCTIONS; verify, hexalloc, netsim and the rscpc
+# searches are imported inside the commands that run them, so a cold run
+# loads only its own
 from .config import COMMON_KEYS, CONSTRUCTIONS, sequences_from_config
-from .rscpc import baseline_compare, select_params_prop1, select_params_prop2
 from .sequences import SequenceSet, json_text
 
 
@@ -191,6 +191,7 @@ def cmd_alloc(args) -> int:
 
 
 def cmd_params(args) -> int:
+    from .rscpc import select_params_prop1, select_params_prop2
     _require(args, "m", "g")
     if args.scheme == "prop1":
         _require(args, "delta")
@@ -242,6 +243,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .rscpc import baseline_compare
     _require(args, "m", "g", "delta")
     table = baseline_compare(args.m, args.g, args.delta)
     if args.format == "csv":

@@ -13,24 +13,47 @@ from __future__ import annotations
 
 import os
 
-from . import crt, rscpc
+# crt and rscpc are imported inside the builders that call them: the CLI's
+# parser reads CONSTRUCTIONS, and a command that builds no set skips them
 from .sequences import SequenceSet
 
 __all__ = ["COMMON_KEYS", "CONSTRUCTIONS", "sequences_from_config"]
 
 
+def _crt(cfg: dict, base_dir: str) -> SequenceSet:
+    from .crt import crt_set
+    return crt_set(int(cfg["p"]), int(cfg["q"]))
+
+
+def _crt0(cfg: dict, base_dir: str) -> SequenceSet:
+    from .crt import crt0_set
+    return crt0_set(int(cfg["p"]), int(cfg["q"]))
+
+
+def _rs_cpc(cfg: dict, base_dir: str) -> SequenceSet:
+    from .rscpc import RsCpcParams, rs_cpc
+    return rs_cpc(RsCpcParams(int(cfg["n"]), int(cfg["p"]), int(cfg["k"]), cfg.get("alpha")))
+
+
+def _tdma(cfg: dict, base_dir: str) -> SequenceSet:
+    from .rscpc import tdma_set
+    return tdma_set(int(cfg["G"]), int(cfg["delta"]))
+
+
 def _product(cfg: dict, base_dir: str) -> SequenceSet:
+    from .crt import product
     x = sequences_from_config(cfg["x"], base_dir)
     y = sequences_from_config(cfg["y"], base_dir)
     pairs = [(lx, sx, ly, sy) for lx, sx in x for ly, sy in y]
-    return SequenceSet(tuple(crt.product(sx, sy) for _, sx, _, sy in pairs),
+    return SequenceSet(tuple(product(sx, sy) for _, sx, _, sy in pairs),
                        tuple(f"{lx}*{ly}" for lx, _, ly, _ in pairs),
                        {"construction": "product"})
 
 
 def _expanded(cfg: dict, base_dir: str) -> SequenceSet:
+    from .crt import ExpandedSetSpec, expanded_set
     base = sequences_from_config(cfg["base"], base_dir)
-    return crt.expanded_set(crt.ExpandedSetSpec(
+    return expanded_set(ExpandedSetSpec(
         base_set=base, p=int(cfg["p"]), M=int(cfg["M"]),
         split_labels=cfg.get("split_labels")))
 
@@ -40,13 +63,12 @@ COMMON_KEYS = ("select", "pad_slots")
 
 # construction name -> (required keys, optional keys, builder(cfg, base_dir))
 CONSTRUCTIONS = {
-    "crt": (("p", "q"), (), lambda c, _: crt.crt_set(int(c["p"]), int(c["q"]))),
-    "crt0": (("p", "q"), (), lambda c, _: crt.crt0_set(int(c["p"]), int(c["q"]))),
-    "rs_cpc": (("n", "p", "k"), ("alpha",), lambda c, _: rscpc.rs_cpc(rscpc.RsCpcParams(
-        int(c["n"]), int(c["p"]), int(c["k"]), c.get("alpha")))),
+    "crt": (("p", "q"), (), _crt),
+    "crt0": (("p", "q"), (), _crt0),
+    "rs_cpc": (("n", "p", "k"), ("alpha",), _rs_cpc),
     "product": (("x", "y"), (), _product),
     "expanded": (("base", "p", "M"), ("split_labels",), _expanded),
-    "tdma": (("G", "delta"), (), lambda c, _: rscpc.tdma_set(int(c["G"]), int(c["delta"]))),
+    "tdma": (("G", "delta"), (), _tdma),
 }
 
 
@@ -83,5 +105,6 @@ def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
         s = s.select(list(cfg["select"]))
     pad = int(cfg.get("pad_slots", 0))
     if pad:
-        s = rscpc.pad_set(s, pad)
+        from .rscpc import pad_set
+        s = pad_set(s, pad)
     return s

@@ -49,6 +49,8 @@ SPEED_OF_LIGHT = 299_792_458.0
 LOSS_CAUSES = ("overlap", "half_duplex", "both")
 # (pair, user) distance tests per block of the densest-disk count
 _DISK_TESTS = 1 << 16
+# log rows per block of frame_offset_audit
+_AUDIT_ROWS = 1 << 16
 # the keys a scenario config must give (Scenario.from_config)
 _REQUIRED_KEYS = ("sequences", "tau_s", "R_m", "L", "F", "delta_c_slots", "M", "h_m",
                   "users")
@@ -659,15 +661,22 @@ def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
 
 
 def frame_offset_audit(log: ReceptionLog, sc: Scenario) -> bool:
-    """Packets sent in frame i must arrive within receiver frames i-1..i+1."""
+    """Packets sent in frame i must arrive within receiver frames i-1..i+1.
+
+    The log is read in blocks of `_AUDIT_ROWS` rows, so the temporaries stay
+    the same size however long the log is.
+    """
     L = sc.timing.frame_slots
     eps = 1e-9
-    i_tx = log.slot // L
-    rel_start = log.arrive_slots - log.offsets_slots[log.rx]
-    rel_end = log.end_slots - log.offsets_slots[log.rx]
-    lo = (i_tx - 1) * L
-    hi = (i_tx + 2) * L
-    return bool(np.all(rel_start >= lo - eps) and np.all(rel_end <= hi + eps))
+    for a in range(0, len(log), _AUDIT_ROWS):
+        rows = slice(a, a + _AUDIT_ROWS)
+        i_tx = log.slot[rows] // L
+        arrive = log.arrive_slots[rows]
+        offset = log.offsets_slots[log.rx[rows]]
+        if not (np.all(arrive - offset >= (i_tx - 1) * L - eps)
+                and np.all(arrive + 1.0 - offset <= (i_tx + 2) * L + eps)):
+            return False
+    return True
 
 
 def adversarial_offset_search(sc: Scenario, step_slots: float = 0.5,

@@ -184,7 +184,7 @@ def _rotations(s: SequenceSet) -> np.ndarray:
 
 
 def _stack(rot: np.ndarray, prefix: np.ndarray, last: range | None = None,
-           members=None) -> np.ndarray:
+           conflict_free: bool = False) -> np.ndarray:
     """Stack every member at its shift, for one block of assignments.
 
     `occ` collects the columns holding at least one 1 and `dup` those holding
@@ -196,11 +196,11 @@ def _stack(rot: np.ndarray, prefix: np.ndarray, last: range | None = None,
     pass over the members: a prefix member keeps its conflict-free bits
     outside r, and the last member keeps the bits of r outside occ.
 
-    Returns the conflict-free bits [word, member, assignment] of `members`
-    (a slice or a list of member indices), or the occupied bits [word,
-    assignment] when `members` is None, with the assignments in index order.
-    Shifts lie in [0, period), so mode="clip" changes no index; it only lets
-    `take` write into `rows` without a buffer.
+    Returns the occupied bits [word, assignment], or with `conflict_free`
+    the conflict-free bits [word, member, assignment] of every member, with
+    the assignments in index order.  Shifts lie in [0, period), so
+    mode="clip" changes no index; it only lets `take` write into `rows`
+    without a buffer.
     """
     words, k, _ = rot.shape
     b, g = prefix.shape
@@ -210,47 +210,40 @@ def _stack(rot: np.ndarray, prefix: np.ndarray, last: range | None = None,
     for i in range(g):
         row = rows[:, i]
         rot[:, i].take(prefix[:, i], axis=1, out=row, mode="clip")
-        if members is not None:
+        if conflict_free:
             dup |= occ & row
         occ |= row
     r = None if last is None else rot[:, k - 1, None, last.start:last.stop]  # [word, 1, shift]
-    if members is None:
+    if not conflict_free:
         return occ if r is None else (occ[:, :, None] | r).reshape(words, -1)
-    free = np.invert(dup, out=dup)
+    rows &= np.invert(dup, out=dup)[:, None]
     if r is None:
-        cf = rows[:, members]
-        cf &= free[:, None]
-        return cf
-    rows &= free[:, None]
-    picked = np.arange(k)[members].tolist()
-    out = np.empty((words, len(picked), b, len(last)), dtype=np.uint64)
-    for j, i in enumerate(picked):
-        if i < g:
-            np.bitwise_and(rows[:, i, :, None], ~r, out=out[:, j])
-        else:
-            np.bitwise_and(~occ[:, :, None], r, out=out[:, j])
-    return out.reshape(words, len(picked), -1)
+        return rows
+    out = np.empty((words, k, b, len(last)), dtype=np.uint64)
+    np.bitwise_and(rows[..., None], ~r[:, None], out=out[:, :g])
+    np.bitwise_and(~occ[:, :, None], r, out=out[:, g])
+    return out.reshape(words, k, -1)
 
 
-def _scan(rot: np.ndarray, blocks, value, extreme, crossed, members):
+def _scan(blocks, values, extreme, crossed):
     """First assignment reaching the extreme of the first range crossing a limit.
 
-    `value` maps the bits `_stack` returns for a block, the conflict-free
-    bits of `members` or the occupied bits, to one number per assignment.
-    The ranges are [m * _BATCH, (m + 1) * _BATCH) of the index order, and a
-    range crosses when its extreme (np.min or np.max of its values) is
-    `crossed`.  Each block's values, already in index order, are cut at the
-    range ends and folded into the extreme so far and the first assignment
-    reaching it, and the limit is tested at each range end.  As `crossed`
-    tests a limit, that extreme first crosses at the end of the first range
-    that crosses, and the assignment lies in that range.  Returns (index,
-    shifts, extreme, index + 1) for it, or (None, None, the extreme, scanned)
-    when no range crosses; the extreme is None when nothing was scanned.
+    `values(prefix, last)` maps a block of assignments to one number per
+    assignment, in index order.  The ranges are [m * _BATCH, (m + 1) *
+    _BATCH) of the index order, and a range crosses when its extreme (np.min
+    or np.max of its values) is `crossed`.  Each block's values are cut at
+    the range ends and folded into the extreme so far and the first
+    assignment reaching it, and the limit is tested at each range end.  As
+    `crossed` tests a limit, that extreme first crosses at the end of the
+    first range that crosses, and the assignment lies in that range.
+    Returns (index, shifts, extreme, index + 1) for it, or (None, None, the
+    extreme, scanned) when no range crosses; the extreme is None when
+    nothing was scanned.
     """
     found = None  # (index, shifts, extreme, index + 1)
     scanned = 0
     for start, prefix, last in blocks:
-        vals = value(_stack(rot, prefix, last, members))
+        vals = values(prefix, last)
         width = 1 if last is None else len(last)
         pos = 0
         while pos < vals.size:
@@ -271,27 +264,93 @@ def _scan(rot: np.ndarray, blocks, value, extreme, crossed, members):
     return None, None, None if found is None else found[2], scanned
 
 
-def _unpack(words: np.ndarray, n: int) -> np.ndarray:
-    """Packed [word, assignment] bits back to a (assignments, n) boolean matrix."""
-    return np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1,
-                         count=n, bitorder="little").view(bool)
-
-
 def _cf_counts(cf: np.ndarray) -> np.ndarray:
     """Conflict-free-1 counts per (member, assignment)."""
     counts = np.bitwise_count(cf)
     return counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.int32)
 
 
-def _cf_gaps(cf: np.ndarray, n: int) -> np.ndarray:
-    """Max circular gap between conflict-free 1s per (member, assignment).
+def _member_frames(s: SequenceSet, idx: list[int], gaps: bool):
+    """Block function of the conflict-free count or gap of each protected member.
 
-    The gap after a conflict-free 1 is one more than the run of other columns
-    that follows it; members with fewer than two get gap = period.
+    Each protected member i is audited in its own frame.  With its 1s at
+    `pos` (weight w), entry [j, d] of its coverage table is a mask of
+    ceil(w / 64) words whose bit a is set when member j, shifted by d
+    against i, covers i's 1 at pos[a], that is when (pos[a] - d) mod n is a
+    1 of j.  The table is filled from the w * w_j differences (pos[a] -
+    ones_j) mod n, so it costs no n * n work.  Under shifts t, i's cover is
+    the OR over j != i of entry [j, (t_j - t_i) mod n]; the uncovered 1s
+    are its conflict-free 1s.  The gap after a conflict-free 1 runs to the
+    next one round the circle; a member with fewer than two has gap = n.
+
+    Returns values(prefix, last) -> [protected member, assignment], the
+    count w - popcount(cover), or with `gaps` the largest gap, in the index
+    order of `_assignment_batches`.
     """
-    return np.stack([np.minimum(_edge_runs(np.flatnonzero(_unpack(cf[:, i], n)),
-                                           cf.shape[2], n) + 1, n)
-                     for i in range(cf.shape[1])])
+    n = s.period
+    frames = {}
+    for i in idx:
+        pos = np.asarray(s.sequences[i].ones, dtype=np.int64)
+        word, bit = np.divmod(np.arange(pos.size, dtype=np.uint64)[:, None], np.uint64(64))
+        table = np.zeros((len(s), n, -(-pos.size // 64)), dtype=np.uint64)
+        for j, seq in enumerate(s.sequences):
+            if j != i:
+                d = (pos[:, None] - np.asarray(seq.ones, dtype=np.int64)) % n
+                np.bitwise_or.at(table[j], (d, word), np.uint64(1) << bit)
+        frames[i] = pos, table
+
+    def values(prefix, last):
+        # each member's shifts as [prefix row, 1], and the last one's as [shift]
+        shifts = [prefix[:, j, None] for j in range(prefix.shape[1])]
+        if last is not None:
+            shifts.append(np.arange(last.start, last.stop))
+        width = 1 if last is None else len(last)
+        out = np.empty((len(idx), len(prefix) * width), dtype=np.int64)
+        for m, i in enumerate(idx):
+            pos, table = frames[i]
+            cover = np.zeros((len(prefix), width, table.shape[2]), dtype=np.uint64)
+            for j, t in enumerate(shifts):
+                if j != i:
+                    cover |= table[j, (t - shifts[i]) % n]
+            cover = cover.reshape(out.shape[1], table.shape[2])
+            count = pos.size - np.bitwise_count(cover).sum(axis=1, dtype=np.int64)
+            out[m] = _gaps(pos, cover, count, n) if gaps else count
+        return out
+
+    return values
+
+
+def _gaps(pos: np.ndarray, cover: np.ndarray, count: np.ndarray, n: int) -> np.ndarray:
+    """Largest gap between conflict-free 1s per row of [assignment, word] covers.
+
+    Own gap g[a] runs from pos[a] to the next 1 round the circle.  A gap
+    between consecutive conflict-free 1s is one own gap when no 1 lies
+    between them, and otherwise spans a maximal run s..e of covered 1s:
+    g[s - 1] + ... + g[e].  Every own gap lies in one of these gaps, so the
+    largest is max(G, the run sums), G the largest own gap.  A run through
+    w - 1 and 0 is cut in two at the row's edge; its part from 0, less its
+    first own gap g[w - 1], is added to its part up to w - 1.  Rows whose
+    `count` of conflict-free 1s is below two get gap = n.
+    """
+    w = pos.size
+    g = np.diff(pos, append=pos[:1] + n)
+    covered = np.unpackbits(cover.view(np.uint8), axis=1, count=w,
+                            bitorder="little").view(bool)
+    out = np.full(len(cover), g.max(initial=0))
+    flat = np.flatnonzero(covered)
+    if flat.size:
+        row, a = np.divmod(flat, w)
+        start = np.flatnonzero((np.diff(flat, prepend=-2) != 1) | (a == 0))
+        span = np.add.reduceat(g[a], start) + g[a[start] - 1]
+        end = np.append(start[1:], flat.size) - 1
+        first = np.flatnonzero(np.diff(row[start], prepend=-1))  # each row's first run
+        last = np.append(first[1:], start.size) - 1
+        wraps = (a[start[first]] == 0) & (a[end[last]] == w - 1)
+        span[last[wraps]] += span[first[wraps]] - g[w - 1]
+        where = row[start[first]]
+        out[where] = np.maximum(out[where], np.maximum.reduceat(span, first))
+    out[count < 2] = n
+    return out
 
 
 def _max_circular_run(bits: np.ndarray) -> np.ndarray:
@@ -359,8 +418,9 @@ def _scan_ui(args: tuple) -> tuple[int | None, list[int] | None, int | None]:
     rot, mode, samples, seed, cap, lo, hi = args
     _, k, n = rot.shape
     index, shifts, least, _ = _scan(
-        rot, _assignment_batches(n, k, mode, samples, seed, cap, lo, hi),
-        lambda cf: _cf_counts(cf).min(axis=0), np.min, lambda m: m < 1, slice(None))
+        _assignment_batches(n, k, mode, samples, seed, cap, lo, hi),
+        lambda prefix, last: _cf_counts(_stack(rot, prefix, last, True)).min(axis=0),
+        np.min, lambda m: m < 1)
     return index, shifts, least
 
 
@@ -462,17 +522,18 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     idx = _protected_indices(s, protected_labels)
-    rot = _rotations(s)
+    counts = _member_frames(s, idx, gaps=False)
     index, ce, low, scanned = _scan(
-        rot, _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
-        lambda cf: _cf_counts(cf).min(axis=0), np.min, lambda m: m < threshold, idx)
+        _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
+        lambda prefix, last: counts(prefix, last).min(axis=0), np.min,
+        lambda m: m < threshold)
     stats = {"min_count": low, "threshold": threshold}
     if ce is None:
         return VerifyReport("conflict_free_count", mode, scanned, seed, "holds", None,
                             stats)
-    counts = _cf_counts(_stack(rot, np.array([ce]), members=idx))[:, 0]
+    per_row = counts(np.array([ce]), None)[:, 0]
     return VerifyReport("conflict_free_count", mode, scanned, seed, "violated",
-                        {"shifts": ce, "row": s.labels[idx[int(np.argmin(counts))]],
+                        {"shifts": ce, "row": s.labels[idx[int(np.argmin(per_row))]],
                          "count": low}, stats)
 
 
@@ -491,17 +552,16 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     idx = _protected_indices(s, protected_labels)
-    rot = _rotations(s)
-    n = s.period
+    gaps = _member_frames(s, idx, gaps=True)
     index, ce, high, scanned = _scan(
-        rot, _assignment_batches(n, len(s), mode, samples, seed, state_cap),
-        lambda cf: _cf_gaps(cf, n).max(axis=0), np.max, lambda m: m > bound, idx)
+        _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
+        lambda prefix, last: gaps(prefix, last).max(axis=0), np.max, lambda m: m > bound)
     stats = {"max_gap": high or 0, "bound": bound}
     if ce is None:
         return VerifyReport("conflict_free_gap", mode, scanned, seed, "holds", None, stats)
-    gaps = _cf_gaps(_stack(rot, np.array([ce]), members=idx), n)[:, 0]
+    per_row = gaps(np.array([ce]), None)[:, 0]
     return VerifyReport("conflict_free_gap", mode, scanned, seed, "violated",
-                        {"shifts": ce, "row": s.labels[idx[int(np.argmax(gaps))]],
+                        {"shifts": ce, "row": s.labels[idx[int(np.argmax(per_row))]],
                          "gap": high}, stats)
 
 
@@ -531,10 +591,11 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
             raise ValueError("window required (no p in meta)")
         window = 2 * int(p)
     _check_window(window, s.period)
+    rot = _rotations(s)
     index, ce, longest, scanned = _scan(
-        _rotations(s), _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
-        lambda occ: _max_packed_run(occ, s.period), np.max,
-        lambda m: m > window - 1, None)
+        _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
+        lambda prefix, last: _max_packed_run(_stack(rot, prefix, last), s.period), np.max,
+        lambda m: m > window - 1)
     stats = {"max_occupied_run": longest or 0, "window": window}
     if ce is None:
         return VerifyReport("zero_column_window", mode, scanned, seed, "holds", None, stats)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,6 +360,23 @@ class TestFrameOffsetAudit:
         users = [User("a", 0, 0, "g0", 7), User("b", 200, 0, "g2", 3)]
         sc = Scenario(timing(60, dc=2, dp=1), 500.0, 1.0, 2, users, s)
         assert frame_offset_audit(run_superframe(sc, seed=3), sc)
+
+    def test_late_arrival_in_a_later_block(self, monkeypatch):
+        # one arrival a frame too late, in the third block of four rows
+        monkeypatch.setattr(netsim, "_AUDIT_ROWS", 4)
+        s = crt0_set(3, 5)
+        sc = two_user_scenario(s, "g0", "g2")
+        L = sc.timing.frame_slots
+        slot = np.arange(10, dtype=np.int64)
+        arrive = slot.astype(float)
+        rows = [np.zeros(10, dtype=np.int32), np.ones(10, dtype=np.int32), slot]
+        ok = ReceptionLog(("a", "b"), np.zeros(2), 1e-3, *rows, arrive,
+                          np.zeros(10, dtype=np.uint8))
+        assert frame_offset_audit(ok, sc)
+        arrive = arrive.copy()
+        arrive[9] += 2 * L
+        late = replace(ok, arrive_slots=arrive)
+        assert not frame_offset_audit(late, sc)
 
 
 class TestAdversarialSearch:
@@ -966,3 +984,18 @@ class TestSparseGeometry:
         assert len(log) > 3000
         assert (peak - base) / len(log) <= 66
         assert (held - base) / len(log) <= 26
+
+    def test_frame_offset_audit_memory(self):
+        # the log is read in fixed-size blocks: about 0.9 M receptions here,
+        # where whole-log temporaries took 46 MB (49 B per reception)
+        sc = Scenario.from_config(field_config(3000))
+        log = run_superframe(sc, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ok = frame_offset_audit(log, sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and len(log) > 500_000
+        assert peak - base < 4e6

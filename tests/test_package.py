@@ -95,6 +95,19 @@ class TestColdImport:
         assert "rscpc" in loaded
         assert not loaded & {"netsim", "verify"}
 
+    @pytest.mark.parametrize("argv", [
+        ["alloc", "--r", "500", "--h", "150"],
+        ["params", "prop2", "--m", "3", "--g", "7"],
+        ["compare", "--m", "3", "--g", "7", "--delta", "2"],
+    ])
+    def test_commands_that_build_no_set_skip_the_constructions(self, argv):
+        # the parser reads config's construction names; only the rscpc
+        # searches behind params and compare are loaded
+        code, loaded = loaded_by(argv)
+        assert code == 0
+        assert "crt" not in loaded
+        assert ("rscpc" in loaded) == (argv[0] != "alloc")
+
 
 class TestPublicSurface:
     def test_all_holds_every_public_name_once(self):

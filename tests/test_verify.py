@@ -13,8 +13,8 @@ from protoseq.rscpc import RsCpcParams, rs_cpc
 from protoseq.sequences import BinarySequence, SequenceSet, hamming_xcorr
 from protoseq.verify import (_BATCH, StackedMatrix, StateCapExceeded,
                              VerifyReport, _assignment_batches,
-                             _max_circular_run, _max_packed_run, _rotations,
-                             _stack,
+                             _max_circular_run, _max_packed_run,
+                             _member_frames, _rotations, _stack,
                              conflict_free_positions,
                              is_ui, max_conflict_free_gap,
                              min_conflict_free_count, separation_audit,
@@ -443,6 +443,19 @@ class TestExpandedAudits:
             tracemalloc.stop()
         assert peak < 16 * 10 ** 6
 
+    @pytest.mark.parametrize("audit", [min_conflict_free_count, max_conflict_free_gap])
+    def test_traced_peak_in_member_frames(self, selection, audit):
+        # Each protected row's coverage table is 5 x 2040 x 2 words, and a
+        # block's covers take 2 words per assignment; the 32-word stack of
+        # every draw read 4.6 and 5.6 MB here.
+        tracemalloc.start()
+        try:
+            audit(selection, samples=10_000, seed=20240817)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 10 ** 6
+
 
 class TestProtectedRowAudits:
     def test_requires_labels_without_meta(self):
@@ -863,18 +876,97 @@ class TestBlockBudget:
 class TestJoinOrder:
     """A joined exhaustive block lists its assignments in index order."""
 
-    @pytest.mark.parametrize("members", [None, slice(None), [2, 0, 2]],
-                             ids=["occupied", "all", "repeated"])
+    @pytest.mark.parametrize("kind", ["occupied", "all", "repeated"])
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
-    def test_joined_blocks_match_full_rows(self, n, members):
-        # the same assignments written out as full rows, one per assignment,
-        # the way random mode stacks them
+    def test_joined_blocks_match_full_rows(self, n, kind):
+        # the occupied and all-members stacks, and the protected-row kernel's
+        # counts and gaps on repeated members, the last member among them
         s, _ = small_family(5, n, 3)
-        rot = _rotations(s)
+        if kind == "repeated":
+            blocks = [_member_frames(s, [2, 0, 2], gaps) for gaps in (False, True)]
+        else:
+            rot = _rotations(s)
+            blocks = [lambda prefix, last: _stack(rot, prefix, last, kind == "all")]
         for _, prefix, last in _assignment_batches(n, 3, "exhaustive"):
+            # the same assignments written out as full rows, one per
+            # assignment, the way random mode stacks them
             full = np.column_stack([np.repeat(prefix, len(last), axis=0),
                                     np.tile(np.asarray(last), len(prefix))])
-            assert (_stack(rot, prefix, last, members) == _stack(rot, full, None, members)).all()
+            for values in blocks:
+                assert (values(prefix, last) == values(full, None)).all()
+
+
+def member_frame_oracle(s, idx, space):
+    """Counts and gaps [protected member, assignment] from the dense oracle."""
+    facts = [stack_facts(s, tuple(shifts)) for shifts in space]
+    return [[[f[kind][i] for f in facts] for i in idx] for kind in (0, 1)]
+
+
+class TestMemberFrames:
+    """The protected-row kernel against the dense oracle, assignment by assignment."""
+
+    @staticmethod
+    def check(s, idx, draw):
+        counts, gaps = member_frame_oracle(s, idx, draw.tolist())
+        assert _member_frames(s, idx, False)(draw, None).tolist() == counts
+        assert _member_frames(s, idx, True)(draw, None).tolist() == gaps
+        return counts, gaps
+
+    @pytest.mark.parametrize("weight", [0, 1, 63, 64, 65, 128])
+    def test_protected_weights_at_word_edges(self, weight):
+        n = 200
+        rng = np.random.default_rng(weight)
+        members = [BinarySequence(n, tuple(sorted(rng.choice(n, weight, replace=False))))]
+        for density in (0.02, 0.1, 0.3):
+            ones = np.flatnonzero(rng.random(n) < density)
+            members.append(BinarySequence(n, tuple(int(x) for x in ones)))
+        s = SequenceSet(tuple(members), ("a", "b", "c", "d"))
+        counts, gaps = self.check(s, [0, 2], rng.integers(0, n, size=(300, 4)))
+        if weight >= 2:  # covers that differ from draw to draw
+            assert len(set(counts[0])) > 1 and len(set(gaps[0])) > 1
+
+    def test_covered_run_wrapping_round_the_row(self):
+        # b covers a's 1s at 40 and 0, indices 4 and 0 of a: one covered
+        # run round the row's edge, leaving the gap 30 -> 10 of 30
+        s = SequenceSet((BinarySequence(50, (0, 10, 20, 30, 40)),
+                         BinarySequence(50, (0, 40)),
+                         BinarySequence(50, (5,))), ("a", "b", "c"))
+        assert self.check(s, [0], np.array([[0, 0, 0], [7, 7, 3]])) == \
+            ([[3, 3]], [[30, 30]])
+
+    def test_every_one_covered(self):
+        s = SequenceSet((BinarySequence(50, (0, 10, 20)),
+                         BinarySequence(50, (0, 10, 20, 33))), ("a", "b"))
+        assert self.check(s, [0, 1], np.array([[0, 0], [4, 4]])) == \
+            ([[0, 0], [1, 1]], [[50, 50], [50, 50]])
+
+    def test_exactly_one_conflict_free_one(self):
+        s = SequenceSet((BinarySequence(50, (0, 10, 20)),
+                         BinarySequence(50, (0, 10, 45))), ("a", "b"))
+        assert self.check(s, [0, 1], np.array([[0, 0], [9, 9]])) == \
+            ([[1, 1], [1, 1]], [[50, 50], [50, 50]])
+
+    def test_repeated_protected_labels(self):
+        s, _ = small_family(3, 65, 4)
+        self.check(s, [1, 0, 1, 3, 3], np.random.default_rng(3).integers(0, 65, size=(200, 4)))
+        args = ("random", 150, 3, ["m1", "m0", "m1", "m3", "m3"])
+        limits = dict(threshold=3, bound=20, window=65)
+        assert engine_reports(s, *args, **limits) == oracle_reports(s, *args, **limits)
+
+    @pytest.mark.parametrize("batch", [7, 29, 50])
+    @pytest.mark.parametrize("n", [12, 65])
+    def test_exhaustive_blocks_with_small_batches(self, monkeypatch, n, batch):
+        # blocks of several prefix rows at n = 12, one prefix row at n = 65
+        monkeypatch.setattr(verify, "_BATCH", batch)
+        s, _ = small_family(n, n, 3)
+        idx = [2, 0]
+        space = [(0, *rest) for rest in itertools.product(range(n), repeat=2)]
+        counts, gaps = member_frame_oracle(s, idx, space)
+        for want, values in ((counts, _member_frames(s, idx, False)),
+                             (gaps, _member_frames(s, idx, True))):
+            got = np.concatenate([values(prefix, last) for _, prefix, last
+                                  in _assignment_batches(n, 3, "exhaustive")], axis=1)
+            assert got.tolist() == want
 
 
 class TestSmallBatches:
