@@ -14,7 +14,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines
+# submodule -> the public names it defines; each submodule's __all__ is its row
 _EXPORTS = {
     "sequences": ("BinarySequence", "SequenceSet", "CrtIndexPair", "cyclic_shift",
                   "hamming_xcorr", "xcorr_profile", "pairwise_xcorr_peaks",

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import os
 
+from . import _EXPORTS
 # crt and rscpc are imported inside the builders that call them: the CLI's
 # parser reads CONSTRUCTIONS, and a command that builds no set skips them
 from .sequences import SequenceSet
 
-__all__ = ["COMMON_KEYS", "CONSTRUCTIONS", "sequences_from_config"]
+__all__ = list(_EXPORTS["config"])
 
 
 def _crt(cfg: dict, base_dir: str) -> SequenceSet:

@@ -12,19 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .rscpc import _min_code
 from .sequences import (BinarySequence, SequenceSet, _is_prime, _pair_peaks,
                         _require_coprime, crt_unmap)
 
-__all__ = [
-    "crt_set",
-    "crt0_set",
-    "product",
-    "all_ones",
-    "ExpandedSetSpec",
-    "expanded_set",
-    "select_expansion_base",
-]
+__all__ = list(_EXPORTS["crt"])
 
 
 def _crt_family(p: int, q: int, steps: list[tuple[int, int]], labels: list[str],

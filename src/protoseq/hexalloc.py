@@ -16,19 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .sequences import json_text
 
-__all__ = [
-    "HexCell",
-    "cell_center",
-    "quantize",
-    "quantize_many",
-    "cell_distance",
-    "cluster_size",
-    "ReusePlan",
-    "PositionLogEntry",
-    "check_fermion",
-]
+__all__ = list(_EXPORTS["hexalloc"])
 
 _TIE_EPS = 1e-9
 

@@ -25,23 +25,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _EXPORTS
 from .config import sequences_from_config
 from .hexalloc import HexCell, ReusePlan, cell_center, quantize_many
 from .sequences import SequenceSet
 
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "delta_p",
-    "TimingModel",
-    "User",
-    "Scenario",
-    "ReceptionLog",
-    "run_superframe",
-    "BlockFreeReport",
-    "check_block_free",
-    "frame_offset_audit",
-    "adversarial_offset_search",
-]
+__all__ = list(_EXPORTS["netsim"])
 
 SPEED_OF_LIGHT = 299_792_458.0
 # loss_cause codes 1, 2 and 3: another arrival at the receiver overlaps the

@@ -17,40 +17,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .sequences import BinarySequence, SequenceSet, _is_prime, crt_unmap
 
-__all__ = [
-    "RsCpcParams",
-    "SelectedParams",
-    "ParamSearchError",
-    "element_of_order",
-    "rs_cpc",
-    "pad_silent",
-    "pad_set",
-    "tdma_set",
-    "select_params_prop1",
-    "select_params_prop2",
-    "length_bounds",
-    "baseline_compare",
-]
+__all__ = list(_EXPORTS["rscpc"])
 
 
 class ParamSearchError(ValueError):
     """No admissible parameters inside the search caps."""
 
 
+def _order(a: int, p: int) -> int | None:
+    """Multiplicative order of a mod the prime p, or None when p divides a."""
+    a %= p
+    if a == 0:
+        return None
+    x, order = a, 1
+    while x != 1:
+        x = x * a % p
+        order += 1
+    return order
+
+
 def element_of_order(n: int, p: int) -> int:
-    """Smallest element of GF(p)* with multiplicative order exactly n."""
-    if (p - 1) % n != 0:
+    """Smallest element of GF(p)* with multiplicative order exactly n; p prime.
+
+    GF(p)* is cyclic of order p - 1, so it holds such an element for every
+    n dividing p - 1.
+    """
+    if not _is_prime(p):
+        raise ValueError(f"field size must be prime, got {p}")
+    if n < 1 or (p - 1) % n != 0:
         raise ValueError(f"order {n} must divide p-1 = {p - 1}")
-    for a in range(2, p):
-        x, k = a, 1
-        while x != 1:
-            x = x * a % p
-            k += 1
-        if k == n:
-            return a
-    raise ValueError(f"no element of order {n} mod {p}")  # unreachable for prime p
+    return next(a for a in range(1, p) if _order(a, p) == n)
 
 
 @dataclass(frozen=True)
@@ -75,13 +74,9 @@ class RsCpcParams:
         if (self.p - 1) % self.n != 0:
             raise ValueError(f"n must divide p-1, got n={self.n} p={self.p}")
         if self.alpha is not None:
-            a = self.alpha % self.p
-            x, order = a, 1
-            while x != 1:
-                x = x * a % self.p
-                order += 1
-                if order > self.p:
-                    raise ValueError(f"alpha={self.alpha} is not invertible mod {self.p}")
+            order = _order(self.alpha, self.p)
+            if order is None:
+                raise ValueError(f"alpha={self.alpha} is not invertible mod {self.p}")
             if order != self.n:
                 raise ValueError(f"alpha={self.alpha} has order {order}, need {self.n}")
 

@@ -17,20 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "BinarySequence",
-    "SequenceSet",
-    "CrtIndexPair",
-    "cyclic_shift",
-    "hamming_xcorr",
-    "xcorr_profile",
-    "pairwise_xcorr_peaks",
-    "cyclic_min_distance",
-    "cyclic_order",
-    "min_separation",
-    "crt_map",
-    "crt_unmap",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["sequences"])
 
 
 @dataclass(frozen=True)

@@ -10,28 +10,18 @@ on failure.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _EXPORTS
 from .sequences import (SequenceSet, _pair_peaks, json_text, min_separation,
                         xcorr_profile)
 
-__all__ = [
-    "StackedMatrix",
-    "VerifyReport",
-    "StateCapExceeded",
-    "conflict_free_positions",
-    "is_ui",
-    "min_conflict_free_count",
-    "max_conflict_free_gap",
-    "zero_column_window",
-    "window_audit",
-    "xcorr_bound_audit",
-    "separation_audit",
-]
+__all__ = list(_EXPORTS["verify"])
 
 DEFAULT_STATE_CAP = 100_000_000
 _BATCH = 1 << 14
@@ -86,15 +76,7 @@ class VerifyReport:
         return 0 if self.holds else 1
 
     def to_json(self) -> dict:
-        return {
-            "property": self.property,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "counterexample": self.counterexample,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -236,11 +218,11 @@ def _scan(blocks, values, extreme, crossed):
     assignment reaching it, and the limit is tested at each range end.  As
     `crossed` tests a limit, that extreme first crosses at the end of the
     first range that crosses, and the assignment lies in that range.
-    Returns (index, shifts, extreme, index + 1) for it, or (None, None, the
-    extreme, scanned) when no range crosses; the extreme is None when
-    nothing was scanned.
+    Returns (shifts, extreme, scanned) with the assignments scanned up to
+    and including it, or (None, the extreme, scanned) when no range
+    crosses; the extreme is None when nothing was scanned.
     """
-    found = None  # (index, shifts, extreme, index + 1)
+    found = None  # (shifts, extreme, scanned)
     scanned = 0
     for start, prefix, last in blocks:
         vals = values(prefix, last)
@@ -248,20 +230,20 @@ def _scan(blocks, values, extreme, crossed):
         pos = 0
         while pos < vals.size:
             offset = (start + pos) % _BATCH
-            if not offset and found and crossed(found[2]):
+            if not offset and found and crossed(found[1]):
                 return found
             piece = vals[pos:pos + _BATCH - offset]
             ext = int(extreme(piece))
-            if found is None or extreme((found[2], ext)) != found[2]:
+            if found is None or extreme((found[1], ext)) != found[1]:
                 j = pos + int(np.flatnonzero(piece == ext)[0])
                 row, col = divmod(j, width)
                 shifts = prefix[row].tolist() + ([] if last is None else [last[col]])
-                found = (start + j, shifts, ext, start + j + 1)
+                found = (shifts, ext, start + j + 1)
             pos += piece.size
         scanned = start + vals.size
-    if found and crossed(found[2]):
+    if found and crossed(found[1]):
         return found
-    return None, None, None if found is None else found[2], scanned
+    return None, None if found is None else found[1], scanned
 
 
 def _cf_counts(cf: np.ndarray) -> np.ndarray:
@@ -354,27 +336,20 @@ def _gaps(pos: np.ndarray, cover: np.ndarray, count: np.ndarray, n: int) -> np.n
 
 
 def _max_circular_run(bits: np.ndarray) -> np.ndarray:
-    """Max circular run length of True per row of a boolean matrix."""
-    return _edge_runs(np.flatnonzero(~bits), *bits.shape)
+    """Max circular run length of True per row of a boolean matrix.
 
-
-def _edge_runs(edges: np.ndarray, b: int, n: int) -> np.ndarray:
-    """Max circular run between edges per row of a (b, n) matrix.
-
-    `edges` are the ascending flat indices of the edge bits.  The run after
-    each edge ends at the next edge of its row, the last wrapping round to
-    the first; a row with no edge is one run of its full length.
+    A row with a False is rotated to start at one, so that no run wraps;
+    a row without one is a single run of its full length.
     """
-    row, col = np.divmod(edges, n)
-    out = np.full(b, n, dtype=np.int64)
-    if row.size:
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        last = np.append(first[1:], row.size) - 1
-        after = np.empty_like(col)  # column of the next edge round the circle
-        after[:-1] = col[1:]
-        after[last] = col[first] + n
-        out[row[first]] = np.maximum.reduceat(after - col - 1, first)
-    return out
+    runs = []
+    for row in bits.tolist():
+        if all(row):
+            runs.append(len(row))
+            continue
+        cut = row.index(False)
+        runs.append(max((sum(run) for on, run in itertools.groupby(row[cut:] + row[:cut])
+                         if on), default=0))
+    return np.array(runs, dtype=np.int64)
 
 
 def _max_packed_run(words: np.ndarray, n: int) -> np.ndarray:
@@ -409,19 +384,18 @@ def _chunk_ranges(n: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _scan_ui(args: tuple) -> tuple[int | None, list[int] | None, int | None]:
+def _scan_ui(args: tuple) -> tuple[list[int] | None, int | None, int]:
     """First assignment leaving some member without a conflict-free 1.
 
-    Returns (index, shifts, 0) for it, or (None, None, least) with the
+    Returns (shifts, 0, scanned) for it, or (None, least, scanned) with the
     least conflict-free count seen when every assignment passes.
     """
     rot, mode, samples, seed, cap, lo, hi = args
     _, k, n = rot.shape
-    index, shifts, least, _ = _scan(
+    return _scan(
         _assignment_batches(n, k, mode, samples, seed, cap, lo, hi),
         lambda prefix, last: _cf_counts(_stack(rot, prefix, last, True)).min(axis=0),
         np.min, lambda m: m < 1)
-    return index, shifts, least
 
 
 def _peaks_certify_ui(s: SequenceSet) -> bool:
@@ -477,14 +451,14 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
             with ProcessPoolExecutor(max_workers=len(args)) as pool:
                 found = list(pool.map(_scan_ui, args))
         # chunks are in ascending second-shift order
-        ce = next((shifts for _, shifts, _ in found if shifts is not None), None)
+        ce = next((shifts for shifts, _, _ in found if shifts is not None), None)
         return VerifyReport("ui", "exhaustive", states, None,
                             "holds" if ce is None else "violated",
                             None if ce is None else {"shifts": ce}, stats)
 
-    index, ce, least = _scan_ui((_rotations(s), mode, samples, seed, state_cap, 0, None))
+    ce, least, scanned = _scan_ui((_rotations(s), mode, samples, seed, state_cap, 0, None))
     if ce is not None:
-        return VerifyReport("ui", "random", index + 1, seed, "violated",
+        return VerifyReport("ui", "random", scanned, seed, "violated",
                             {"shifts": ce}, stats)
     return VerifyReport("ui", "random", samples, seed, "holds", None,
                         {**stats, "min_conflict_free_count": least})
@@ -523,7 +497,7 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     idx = _protected_indices(s, protected_labels)
     counts = _member_frames(s, idx, gaps=False)
-    index, ce, low, scanned = _scan(
+    ce, low, scanned = _scan(
         _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
         lambda prefix, last: counts(prefix, last).min(axis=0), np.min,
         lambda m: m < threshold)
@@ -553,7 +527,7 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
         raise ValueError(f"bound must be >= 1, got {bound}")
     idx = _protected_indices(s, protected_labels)
     gaps = _member_frames(s, idx, gaps=True)
-    index, ce, high, scanned = _scan(
+    ce, high, scanned = _scan(
         _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
         lambda prefix, last: gaps(prefix, last).max(axis=0), np.max, lambda m: m > bound)
     stats = {"max_gap": high or 0, "bound": bound}
@@ -592,7 +566,7 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
         window = 2 * int(p)
     _check_window(window, s.period)
     rot = _rotations(s)
-    index, ce, longest, scanned = _scan(
+    ce, longest, scanned = _scan(
         _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
         lambda prefix, last: _max_packed_run(_stack(rot, prefix, last), s.period), np.max,
         lambda m: m > window - 1)

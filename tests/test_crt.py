@@ -243,3 +243,32 @@ class TestExpandedSet:
             assert member == product(x, y)
             oracle = sorted(crt_unmap((a, b), 15, 11) for a in x.ones for b in y.ones)
             assert member.ones == tuple(oracle)
+
+
+
+def expand_small_base(period=11, meta=(("n", 7), ("k", 3)), split=()):
+    """A call expanding four weight-1 members with p = M = 3."""
+    base = SequenceSet(tuple(BinarySequence(period, (i,)) for i in range(4)), "abcd",
+                       dict(meta))
+    return lambda: expanded_set(ExpandedSetSpec(base, 3, 3, split))
+
+
+class TestRejectedArguments:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: all_ones(0), "length must be >= 1", id="all_ones-length"),
+        pytest.param(expand_small_base(period=15),
+                     "gcd(p(2p-1), base period) must be 1, got gcd(15, 15)",
+                     id="expanded-gcd"),
+        pytest.param(expand_small_base(meta={"n": 7}),
+                     "base set meta must record code parameters n and k",
+                     id="expanded-meta"),
+        pytest.param(expand_small_base(split=("a", "a", "b")),
+                     "split_labels must name 3 distinct members", id="split-repeated"),
+        pytest.param(expand_small_base(split=("a", "b")),
+                     "split_labels must name 3 distinct members", id="split-count"),
+    ])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message

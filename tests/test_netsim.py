@@ -68,6 +68,18 @@ class TestTimingModel:
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("R, h, M, message", [
+        (0.0, 1.0, 2, "R and h must be positive"),
+        (100.0, -1.0, 2, "R and h must be positive"),
+        (100.0, 1.0, 0, "M must be >= 1"),
+    ], ids=["R", "h", "M"])
+    def test_rejects_bad_range_cell_or_cap(self, R, h, M, message):
+        users = [User("a", 0, 0, "t0")]
+        with pytest.raises(ValueError) as err:
+            Scenario(timing(2), R, h, M, users, tdma_set(2, 0), slot_synchronized=True)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
     def test_duplicate_ids(self):
         s = tdma_set(2, 0)
         users = [User("a", 0, 0, "t0"), User("a", 5, 0, "t1")]

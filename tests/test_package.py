@@ -133,6 +133,19 @@ class TestPublicSurface:
                         "if n not in globals()]))")
         assert missing == []
 
+    def test_each_module_exports_its_row(self):
+        # each submodule's __all__, and what a star import of it binds, in a
+        # fresh interpreter; sorted, since a star import sees no order
+        doc = child("import importlib, json\n"
+                    "rows = {}\n"
+                    f"for m in {list(PUBLIC)!r}:\n"
+                    "    ns = {}\n"
+                    "    exec(f'from protoseq.{m} import *', ns)\n"
+                    "    rows[m] = [sorted(importlib.import_module('protoseq.' + m).__all__), "
+                    "sorted(set(ns) - {'__builtins__'})]\n"
+                    "print(json.dumps(rows))")
+        assert doc == {m: [sorted(names)] * 2 for m, names in PUBLIC.items()}
+
     def test_dir_lists_public_names_and_submodules(self):
         listed = set(dir(protoseq))
         assert set(protoseq.__all__) <= listed

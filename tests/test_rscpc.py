@@ -1,14 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
+import protoseq
 from protoseq.rscpc import (ParamSearchError, RsCpcParams, element_of_order,
                             length_bounds, pad_set, pad_silent, rs_cpc,
                             select_params_prop1, select_params_prop2,
                             tdma_set)
-from protoseq.sequences import (BinarySequence, SequenceSet, crt_unmap,
+from protoseq.sequences import (BinarySequence, SequenceSet, _is_prime, crt_unmap,
                                 cyclic_order, cyclic_shift, min_separation,
                                 xcorr_profile)
 
@@ -41,6 +45,32 @@ class TestElementOfOrder:
         with pytest.raises(ValueError):
             element_of_order(7, 11)  # 7 does not divide 10
 
+    def test_order_one_is_one(self):
+        assert element_of_order(1, 5) == 1
+
+    def test_composite_field_is_rejected(self):
+        # in a child process with a timeout: a search that loops forever
+        # on a composite p would hang this one
+        src = os.path.dirname(os.path.dirname(protoseq.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from protoseq.rscpc import element_of_order\n"
+             "element_of_order(2, 9)"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "ValueError: field size must be prime, got 9")
+
+    def test_matches_pow_oracle(self):
+        # the least a in [1, p) whose least k with a^k = 1 mod p is n
+        for p in filter(_is_prime, range(100)):
+            order = {a: next(k for k in range(1, p) if pow(a, k, p) == 1)
+                     for a in range(1, p)}
+            for n in (n for n in range(1, p) if (p - 1) % n == 0):
+                want = min(a for a in range(1, p) if order[a] == n)
+                assert element_of_order(n, p) == want, (n, p)
+
 
 class TestRsCpcParams:
     def test_validation(self):
@@ -54,6 +84,12 @@ class TestRsCpcParams:
             RsCpcParams(n=5, p=11, k=2)    # k >= 3
         with pytest.raises(ValueError):
             RsCpcParams(n=5, p=11, k=3, alpha=2)  # order(2) = 10, not 5
+
+    @pytest.mark.parametrize("alpha", [0, 22, -11])
+    def test_alpha_not_invertible(self, alpha):
+        with pytest.raises(ValueError) as err:
+            RsCpcParams(n=5, p=11, k=3, alpha=alpha)
+        assert str(err.value) == f"alpha={alpha} is not invertible mod 11"
 
     def test_alpha_default(self):
         assert RsCpcParams(n=5, p=11, k=3).resolved_alpha() == 3
@@ -241,3 +277,34 @@ class TestLengthBounds:
             lo = length_bounds(m)[1]
             assert lo >= prev
             prev = lo
+
+
+class TestRejectedArguments:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: pad_silent(BinarySequence(4, (0,)), -1),
+                     "delta must be >= 0", id="pad_silent-delta"),
+        pytest.param(lambda: tdma_set(0, 0), "G must be >= 1", id="tdma-G"),
+        pytest.param(lambda: tdma_set(2, -1), "delta must be >= 0", id="tdma-delta"),
+        pytest.param(lambda: select_params_prop1(1, 5, 0),
+                     "need M >= 2, G >= 1, delta >= 0; got M=1 G=5 delta=0",
+                     id="prop1-M"),
+        pytest.param(lambda: select_params_prop1(3, 0, 0),
+                     "need M >= 2, G >= 1, delta >= 0; got M=3 G=0 delta=0",
+                     id="prop1-G"),
+        pytest.param(lambda: select_params_prop1(3, 5, -1),
+                     "need M >= 2, G >= 1, delta >= 0; got M=3 G=5 delta=-1",
+                     id="prop1-delta"),
+        pytest.param(lambda: select_params_prop2(1, 5),
+                     "need M >= 2, G >= 1, delta >= 0; got M=1 G=5 delta=0",
+                     id="prop2-M"),
+        pytest.param(lambda: length_bounds(0), "M must be >= 1", id="length_bounds-M"),
+        pytest.param(lambda: element_of_order(0, 5), "order 0 must divide p-1 = 4",
+                     id="order-zero"),
+        pytest.param(lambda: element_of_order(-2, 5), "order -2 must divide p-1 = 4",
+                     id="order-negative"),
+    ])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError
+        assert str(err.value) == message

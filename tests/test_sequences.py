@@ -315,3 +315,32 @@ class TestSequenceSet:
         s.save(str(path))
         assert path.read_text() == a
         json.loads(a)
+
+
+class TestRejectedArguments:
+    @pytest.mark.parametrize("call, exc, message", [
+        pytest.param(lambda: BinarySequence.from_string("0120"), ValueError,
+                     "dense form must be a nonempty string of 0s and 1s", id="dense-digit"),
+        pytest.param(lambda: BinarySequence.from_string(""), ValueError,
+                     "dense form must be a nonempty string of 0s and 1s", id="dense-empty"),
+        pytest.param(lambda: BinarySequence.from_json({"bits": "0101", "period": 5}),
+                     ValueError, "period does not match dense form length",
+                     id="bits-period"),
+        pytest.param(lambda: hamming_xcorr(seq(3, [0]), seq(4, [0]), 0), ValueError,
+                     "sequences must share a period", id="hamming_xcorr-period"),
+        pytest.param(lambda: xcorr_profile(seq(3, [0]), seq(4, [0])), ValueError,
+                     "sequences must share a period", id="xcorr_profile-period"),
+        pytest.param(lambda: cyclic_min_distance([seq(3, [0])]), ValueError,
+                     "need at least two sequences", id="min_distance-one"),
+        pytest.param(lambda: SequenceSet((seq(3, [0]),), ("a", "b")), ValueError,
+                     "one label per sequence required", id="set-labels"),
+        pytest.param(lambda: SequenceSet((), ()), ValueError, "empty sequence set",
+                     id="set-empty"),
+        pytest.param(lambda: SequenceSet((seq(3, [0]),), ("a",)).get("b"), KeyError,
+                     "'b'", id="set-get"),
+    ])
+    def test_message(self, call, exc, message):
+        with pytest.raises(exc) as err:
+            call()
+        assert type(err.value) is exc
+        assert str(err.value) == message
