@@ -21,13 +21,18 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 from . import __version__
-# the parser needs CONSTRUCTIONS; verify, hexalloc, netsim and the rscpc
-# searches are imported inside the commands that run them, so a cold run
-# loads only its own
+# the parser needs CONSTRUCTIONS, and config loads no numpy; sequences,
+# verify, hexalloc and netsim are imported inside the commands that run
+# them, so a cold run loads only its own, and params, compare and alloc
+# load no numpy
+from ._sizing import baseline_compare, json_text, select_params_prop1, select_params_prop2
 from .config import COMMON_KEYS, CONSTRUCTIONS, sequences_from_config
-from .sequences import SequenceSet, json_text
+
+if TYPE_CHECKING:
+    from .sequences import SequenceSet
 
 
 def _digest(obj) -> str:
@@ -111,6 +116,7 @@ def cmd_gen(args) -> int:
 
 def _load_set(args) -> SequenceSet:
     if getattr(args, "set", None):
+        from .sequences import SequenceSet
         return SequenceSet.load(args.set)
     if getattr(args, "config", None):
         return sequences_from_config(json.loads(args.config))
@@ -191,7 +197,6 @@ def cmd_alloc(args) -> int:
 
 
 def cmd_params(args) -> int:
-    from .rscpc import select_params_prop1, select_params_prop2
     _require(args, "m", "g")
     if args.scheme == "prop1":
         _require(args, "delta")
@@ -243,7 +248,6 @@ def cmd_sim(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .rscpc import baseline_compare
     _require(args, "m", "g", "delta")
     table = baseline_compare(args.m, args.g, args.delta)
     if args.format == "csv":

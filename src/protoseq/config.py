@@ -12,11 +12,15 @@ rejected, so no key is dropped without a word.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 from . import _EXPORTS
-# crt and rscpc are imported inside the builders that call them: the CLI's
-# parser reads CONSTRUCTIONS, and a command that builds no set skips them
-from .sequences import SequenceSet
+
+# sequences, crt and rscpc are imported inside the builders that call them:
+# the CLI's parser reads CONSTRUCTIONS, and a command that builds no set
+# loads none of them, nor numpy
+if TYPE_CHECKING:
+    from .sequences import SequenceSet
 
 __all__ = list(_EXPORTS["config"])
 
@@ -43,6 +47,7 @@ def _tdma(cfg: dict, base_dir: str) -> SequenceSet:
 
 def _product(cfg: dict, base_dir: str) -> SequenceSet:
     from .crt import product
+    from .sequences import SequenceSet
     x = sequences_from_config(cfg["x"], base_dir)
     y = sequences_from_config(cfg["y"], base_dir)
     pairs = [(lx, sx, ly, sy) for lx, sx in x for ly, sy in y]
@@ -79,6 +84,7 @@ def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
     A missing required key, or a key a construction fragment does not
     read, raises ValueError naming the construction and the key.
     """
+    from .sequences import SequenceSet
     if "file" in cfg:
         s = SequenceSet.load(os.path.join(base_dir, cfg["file"]))
     elif "sequences" in cfg:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
-from .rscpc import _min_code
-from .sequences import (BinarySequence, SequenceSet, _is_prime, _pair_peaks,
-                        _require_coprime, crt_unmap)
+from ._sizing import _is_prime, _min_code
+from .sequences import BinarySequence, SequenceSet, _pair_peaks, _require_coprime, crt_unmap
 
 __all__ = list(_EXPORTS["crt"])
 

@@ -12,12 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _EXPORTS
-from .sequences import json_text
+from ._sizing import json_text
+
+# numpy is imported only by the array paths (quantize_many, allocate_many
+# and a labelled plan), so a plan's geometry loads none
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = list(_EXPORTS["hexalloc"])
 
@@ -46,6 +49,8 @@ def quantize_many(x, y, h: float) -> tuple[np.ndarray, np.ndarray]:
     ascending (m, n) order and a later cell wins only when it is nearer by
     more than the tie tolerance.
     """
+    import numpy as np
+
     if h <= 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, dtype=np.float64)
@@ -93,12 +98,20 @@ def cluster_size(R: float, h: float) -> tuple[int, int, int]:
 
     Returns (G, b1, b2) with b1 >= b2 >= 0; minimal G, then smallest
     witness pair.  The threshold is snapped to an integer when within
-    1e-9 to keep exact-boundary inputs exact.
+    1e-9 to keep exact-boundary inputs exact.  R, h and the threshold
+    must be finite.
     """
+    if not (math.isfinite(R) and math.isfinite(h)):
+        raise ValueError(f"R and h must be finite, got R={R} h={h}")
     if R <= 0 or h <= 0:
         raise ValueError("R and h must be positive")
     d = math.sqrt(3.0) * h
-    target = (2.0 * R / d) ** 2
+    try:
+        target = (2.0 * R / d) ** 2
+    except OverflowError:
+        target = math.inf
+    if not math.isfinite(target):
+        raise ValueError(f"(2R/d)^2 is not finite for R={R} h={h}")
     if abs(target - round(target)) < _TIE_EPS:
         target = round(target)
     bound = math.isqrt(int(math.ceil(target))) + 2
@@ -166,6 +179,8 @@ class ReusePlan:
             reps = [self.rep_key(c) for c in self.representative_cells()]
             if set(self.assignment) != set(reps):
                 raise ValueError("assignment keys must be the canonical representatives")
+            import numpy as np
+
             # labels by coset index: representatives come in index order
             self._labels = np.array([self.assignment[r] for r in reps], dtype=object)
 
@@ -203,6 +218,8 @@ class ReusePlan:
     def allocate_many(self, m, n) -> np.ndarray:
         """Sequence labels assigned to the cosets of the cells (m, n), given
         as two integer arrays."""
+        import numpy as np
+
         try:
             m, n = np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64)
         except OverflowError:

@@ -18,6 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _EXPORTS
+# defined where importing them loads no numpy; re-exported here
+from ._sizing import _is_prime, json_text  # noqa: F401
 
 __all__ = list(_EXPORTS["sequences"])
 
@@ -249,20 +251,9 @@ def crt_unmap(pair, p: int, q: int):
     return (r * (q * pow(q, -1, p) % n) + c * (p * pow(p, -1, q) % n)) % n
 
 
-def json_text(doc) -> str:
-    """The package's JSON data format: two-space indent, sorted keys, final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _require_coprime(p: int, q: int) -> None:
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise ValueError(f"p and q must be coprime positive integers, got ({p}, {q})")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass

@@ -292,6 +292,13 @@ class TestAlloc:
     def test_missing_flags(self):
         assert run("alloc", "--r", "500") == 2
 
+    @pytest.mark.parametrize("r, h", [("inf", "1"), ("nan", "1"), ("1e300", "1e-300")])
+    def test_non_finite_geometry_is_a_usage_error(self, r, h, capsys):
+        # exit 1 would read as "violated"; a bad radius is a usage error
+        assert run("alloc", "--r", r, "--h", h) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"h={float(h)}" in err
+
     @pytest.mark.parametrize("cell", ["1", "a,b", "1,2,3"])
     def test_malformed_cell(self, cell, capsys):
         assert run("alloc", "--r", "20", "--h", "1", "--cell", cell) == 2

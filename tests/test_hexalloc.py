@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,19 @@ class TestClusterSize:
             cluster_size(0.0, 1.0)
         with pytest.raises(ValueError):
             cluster_size(1.0, -2.0)
+
+    @pytest.mark.parametrize("R, h, named", [
+        (math.inf, 1.0, "R=inf h=1.0"),
+        (math.nan, 1.0, "R=nan h=1.0"),
+        (1.0, math.inf, "R=1.0 h=inf"),
+        (-math.inf, 1.0, "R=-inf h=1.0"),
+        # finite inputs whose threshold (2R/d)^2 overflows
+        (1e300, 1e-300, "R=1e+300 h=1e-300"),
+        (1e200, 1.0, "R=1e+200 h=1.0"),
+    ])
+    def test_rejects_non_finite_inputs_and_threshold(self, R, h, named):
+        with pytest.raises(ValueError, match=re.escape(named) + "$"):
+            cluster_size(R, h)
 
 
 class TestReusePlan:

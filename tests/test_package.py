@@ -37,10 +37,13 @@ PUBLIC = {
 }
 
 
+# this checkout's src/
+SRC = os.path.dirname(os.path.dirname(protoseq.__file__))
+
+
 def child(code):
     """Run `code` in a fresh interpreter and parse its last stdout line as JSON."""
-    src = os.path.dirname(os.path.dirname(protoseq.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -48,13 +51,28 @@ def child(code):
 
 
 def loaded_by(argv):
-    """Exit code of `protoseq <argv>` and the protoseq submodules it loaded."""
+    """Exit code of `protoseq <argv>` and the protoseq submodules it loaded,
+    plus "numpy" if it loaded numpy."""
     doc = child("import json, sys\n"
                 "from protoseq.cli import main\n"
                 f"code = main({argv!r})\n"
                 "print(json.dumps({'exit': code, 'modules': sorted(m for m in sys.modules "
-                "if m.startswith('protoseq.'))}))")
+                "if m.startswith('protoseq.') or m == 'numpy')}))")
     return doc["exit"], {m.removeprefix("protoseq.") for m in doc["modules"]}
+
+
+def sim_config(tmp_path, pad_slots=3):
+    """A two-user scenario file on crt0(3, 5), padded by `pad_slots`."""
+    cfg = {"tau_s": 1e-3, "L": 15 * (pad_slots + 1), "F": 3,
+           "delta_c_slots": min(pad_slots, 2), "R_m": 500.0, "h_m": 1.0, "M": 3,
+           "sequences": {"construction": "crt0", "p": 3, "q": 5},
+           "users": [{"id": "a", "x": 0, "y": 0, "label": "g0", "shift": 7},
+                     {"id": "b", "x": 200, "y": 0, "label": "g2", "shift": 3}]}
+    if pad_slots:
+        cfg["sequences"]["pad_slots"] = pad_slots
+    path = tmp_path / f"scenario_pad{pad_slots}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 class TestColdImport:
@@ -72,14 +90,7 @@ class TestColdImport:
         assert not loaded & {"netsim", "hexalloc"}
 
     def test_sim_skips_verify(self, tmp_path):
-        cfg = {"tau_s": 1e-3, "L": 60, "F": 3, "delta_c_slots": 2, "R_m": 500.0,
-               "h_m": 1.0, "M": 3,
-               "sequences": {"construction": "crt0", "p": 3, "q": 5, "pad_slots": 3},
-               "users": [{"id": "a", "x": 0, "y": 0, "label": "g0", "shift": 7},
-                         {"id": "b", "x": 200, "y": 0, "label": "g2", "shift": 3}]}
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(cfg))
-        code, loaded = loaded_by(["sim", "--config", str(path), "--seed", "1"])
+        code, loaded = loaded_by(["sim", "--config", sim_config(tmp_path), "--seed", "1"])
         assert code == 0
         assert "netsim" in loaded
         assert "verify" not in loaded
@@ -90,10 +101,10 @@ class TestColdImport:
         ["compare", "--m", "3", "--g", "7", "--delta", "2"],
     ])
     def test_gen_params_compare_skip_netsim_and_verify(self, argv):
+        # the searches live in _sizing, and crt reads its code search there
         code, loaded = loaded_by(argv)
         assert code == 0
-        assert "rscpc" in loaded
-        assert not loaded & {"netsim", "verify"}
+        assert not loaded & {"netsim", "verify", "rscpc"}
 
     @pytest.mark.parametrize("argv", [
         ["alloc", "--r", "500", "--h", "150"],
@@ -101,12 +112,79 @@ class TestColdImport:
         ["compare", "--m", "3", "--g", "7", "--delta", "2"],
     ])
     def test_commands_that_build_no_set_skip_the_constructions(self, argv):
-        # the parser reads config's construction names; only the rscpc
-        # searches behind params and compare are loaded
+        # the parser reads config's construction names, which import no
+        # construction; the sizing commands load neither numpy nor any
+        # module that needs it
         code, loaded = loaded_by(argv)
         assert code == 0
-        assert "crt" not in loaded
-        assert ("rscpc" in loaded) == (argv[0] != "alloc")
+        assert not loaded & {"numpy", "sequences", "crt", "rscpc"}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}', "--jobs", "1"],
+        ["verify", "window", "--p", "3"],
+        ["sim", "--seed", "1"],
+    ])
+    def test_crt0_commands_skip_rscpc(self, argv, tmp_path):
+        # gen crt0 is a case above; padding is rscpc's pad_set, so the
+        # scenario is unpadded
+        if argv[0] == "sim":
+            argv = [*argv, "--config", sim_config(tmp_path, pad_slots=0)]
+        code, loaded = loaded_by(argv)
+        assert code == 0
+        assert "crt" in loaded
+        assert "rscpc" not in loaded
+
+    def test_cell_allocation_loads_numpy_on_use(self, tmp_path):
+        out = tmp_path / "alloc.json"
+        code, loaded = loaded_by(["alloc", "--r", "500", "--h", "150", "--cell", "1,2",
+                                  "--out", str(out)])
+        assert code == 0
+        assert "numpy" in loaded
+        plan = protoseq.ReusePlan.from_geometry(150.0, 500.0)
+        assert json.loads(out.read_text())["index"] == plan.allocate(protoseq.HexCell(1, 2))
+
+
+def run_cli(argv, cwd, *path):
+    """`python -m protoseq.cli <argv>` in `cwd`, with `path` and then this
+    checkout's src/ on PYTHONPATH."""
+    return subprocess.run([sys.executable, "-m", "protoseq.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([*path, SRC])))
+
+
+class TestWithoutNumpy:
+    """The sizing commands run, byte for byte the same, where numpy cannot
+    be imported."""
+
+    @pytest.fixture()
+    def stub(self, tmp_path):
+        """A directory whose `numpy` package raises ImportError."""
+        (tmp_path / "stub" / "numpy").mkdir(parents=True)
+        (tmp_path / "stub" / "numpy" / "__init__.py").write_text(
+            "raise ImportError('numpy is not installed')\n")
+        return str(tmp_path / "stub")
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "prop2", "--m", "5", "--g", "37"],
+        ["params", "prop1", "--m", "5", "--g", "37", "--delta", "2"],
+        ["compare", "--m", "5", "--g", "37", "--delta", "2"],
+        ["compare", "--m", "5", "--g", "37", "--delta", "2", "--format", "csv"],
+        ["alloc", "--r", "2000", "--h", "1"],
+    ])
+    def test_sizing_commands_match_a_normal_run(self, argv, stub, tmp_path):
+        written = []
+        for name, path in (("normal", []), ("stubbed", [stub])):
+            (tmp_path / name).mkdir()
+            proc = run_cli([*argv, "--out", "out"], tmp_path / name, *path)
+            assert proc.returncode == 0, proc.stderr
+            written.append((tmp_path / name / "out").read_bytes())
+        assert written[0] == written[1]
+
+    def test_stub_blocks_numpy(self, stub, tmp_path):
+        # the stub works: a command that needs numpy fails on it
+        proc = run_cli(["gen", "crt0", "--p", "3", "--q", "5"], tmp_path, stub)
+        assert proc.returncode != 0
+        assert "numpy is not installed" in proc.stderr
 
 
 class TestPublicSurface:
