@@ -36,10 +36,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 # loss_cause codes 1, 2 and 3: another arrival at the receiver overlaps the
 # reception, the receiver transmits during it, or both
 LOSS_CAUSES = ("overlap", "half_duplex", "both")
-# (pair, user) distance tests per block of the densest-disk count
-_DISK_TESTS = 1 << 16
-# log rows per block of frame_offset_audit
-_AUDIT_ROWS = 1 << 16
+# rows per block of every pass over pairs or log rows: (pair, user) tests of
+# the densest-disk count, and log rows in run_superframe, check_block_free
+# and frame_offset_audit.  The passes' temporaries stay this size at any
+# user count
+_BLOCK_ROWS = 1 << 14
 # the keys a scenario config must give (Scenario.from_config)
 _REQUIRED_KEYS = ("sequences", "tau_s", "R_m", "L", "F", "delta_c_slots", "M", "h_m",
                   "users")
@@ -233,7 +234,7 @@ class Scenario:
         lies within 2R + 2 tol of i, with room left for rounding.  Counting
         each centre against `near`, the pairs within 2R + 2 tol, of i alone
         therefore finds every user the disk holds, and the count is exact.
-        Pairs are taken in blocks of about `_DISK_TESTS` (pair, user)
+        Pairs are taken in blocks of about `_BLOCK_ROWS` (pair, user)
         tests, so the work arrays stay the same size at any user count.
         """
         R = self.R_m
@@ -253,7 +254,7 @@ class Scenario:
         jx, jy = x[j], y[j]
         tests = size[a]
         cuts = np.searchsorted(np.cumsum(tests),
-                               np.arange(_DISK_TESTS, tests.sum(), _DISK_TESTS))
+                               np.arange(_BLOCK_ROWS, tests.sum(), _BLOCK_ROWS))
         bounds = [0, *cuts.tolist(), a.size]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             block = slice(lo, hi)
@@ -532,35 +533,6 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     all_slots += np.repeat(np.tile(np.arange(0, total, n), k), per_frame)
     lens = w * tm.frames
 
-    # one row per (receiver b, transmitter a, slot of a), b-major
-    rx_pair, tx_pair = sc.hearing
-    per_pair = lens[tx_pair]
-    tx = np.repeat(tx_pair.astype(np.int32), per_pair)
-    rx = np.repeat(rx_pair.astype(np.int32), per_pair)
-    slot = all_slots[_ranges((np.cumsum(lens) - lens)[tx_pair], per_pair)]
-    start = t[tx]
-    start += slot
-    start += np.repeat(sc.hearing_delay_slots, per_pair)
-
-    # sort each receiver's rows by arrival; a stable sort keeps ties in
-    # (a, slot) order
-    cut = (np.flatnonzero(rx[1:] != rx[:-1]) + 1).tolist()
-    order = np.concatenate(
-        [np.zeros(0, dtype=np.int64)]
-        + [lo + np.argsort(start[lo:hi], kind="stable")
-           for lo, hi in zip([0] + cut, cut + [rx.size])])
-    # rows stay within their receiver, so rx needs no reordering
-    tx, slot, start = tx[order], slot[order], start[order]
-    del order
-
-    # sorted by start within a receiver, so the latest earlier end is the
-    # previous row's end, one slot after its start; any positive-measure
-    # overlap destroys both
-    overlap = (rx[1:] == rx[:-1]) & (start[1:] < start[:-1] + 1.0)
-    coll = np.zeros(start.size, dtype=bool)
-    coll[1:] = overlap
-    coll[:-1] |= overlap
-
     # half duplex: lost when the arrival overlaps one of the receiver's own
     # transmit slots, i.e. an own slot j with j - 1 < rel < j + 1.  Row r of
     # `pattern` marks one period of label r's ones; its extra last column
@@ -570,15 +542,66 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     pattern[:, n] = pattern[:, 0]
     pattern = pattern.ravel()
 
-    rel = start - t[rx]
-    k0 = np.floor(rel).astype(np.int64)
-    at = k0 - shift_of[rx]
-    at %= n
-    at += label_of[rx] * (n + 1)
-    lost = pattern[at] & (k0 >= 0) & (k0 < total)
-    lost |= pattern[at + 1] & (rel != k0) & (k0 >= -1) & (k0 < total - 1)
+    # one row per (receiver b, transmitter a, slot of a), b-major.  The
+    # columns are allocated once; the rows are built and classified in
+    # blocks of whole receivers, about `_BLOCK_ROWS` rows each, and a
+    # receiver with more rows has a block of its own.  Every test below
+    # compares rows of one receiver, so no test crosses a block.
+    rx_pair, tx_pair = sc.hearing
+    per_pair = lens[tx_pair]
+    first_slot = np.cumsum(lens) - lens
+    # the pairs where a receiver begins, then the pair count, and the first
+    # log row of each
+    edge = np.append(np.flatnonzero(np.diff(rx_pair, prepend=-1)), rx_pair.size)
+    row_at = np.concatenate(([0], np.cumsum(per_pair)))[edge]
+    size = int(row_at[-1])
+    tx = np.empty(size, dtype=np.int32)
+    rx = np.empty(size, dtype=np.int32)
+    slot = np.empty(size, dtype=np.int64)
+    start = np.empty(size, dtype=np.float64)
+    cause = np.empty(size, dtype=np.uint8)
+    i = 0
+    while i < edge.size - 1:
+        j = max(i + 1, int(np.searchsorted(row_at, row_at[i] + _BLOCK_ROWS, "right")) - 1)
+        pairs, out = slice(edge[i], edge[j]), slice(row_at[i], row_at[j])
+        bounds = (row_at[i:j + 1] - row_at[i]).tolist()
+        i = j
 
-    cause = coll.view(np.uint8) | (lost.view(np.uint8) << 1)
+        # the block's rows are written straight into its slice of the columns
+        a, reps = tx_pair[pairs], per_pair[pairs]
+        b_tx, b_rx, b_slot, b_start = tx[out], rx[out], slot[out], start[out]
+        b_tx[:] = np.repeat(a.astype(np.int32), reps)
+        b_rx[:] = np.repeat(rx_pair[pairs].astype(np.int32), reps)
+        b_slot[:] = all_slots[_ranges(first_slot[a], reps)]
+        b_start[:] = t[b_tx]
+        b_start += b_slot
+        b_start += np.repeat(sc.hearing_delay_slots[pairs], reps)
+
+        # sort each receiver's rows by arrival; a stable sort keeps ties in
+        # (a, slot) order.  Rows stay within their receiver, so rx needs no
+        # reordering
+        order = np.concatenate([lo + np.argsort(b_start[lo:hi], kind="stable")
+                                for lo, hi in zip(bounds[:-1], bounds[1:])])
+        b_tx[:], b_slot[:], b_start[:] = b_tx[order], b_slot[order], b_start[order]
+        del order
+
+        # sorted by start within a receiver, so the latest earlier end is the
+        # previous row's end, one slot after its start; any positive-measure
+        # overlap destroys both
+        overlap = (b_rx[1:] == b_rx[:-1]) & (b_start[1:] < b_start[:-1] + 1.0)
+        coll = np.zeros(b_start.size, dtype=bool)
+        coll[1:] = overlap
+        coll[:-1] |= overlap
+
+        rel = b_start - t[b_rx]
+        k0 = np.floor(rel).astype(np.int64)
+        at = k0 - shift_of[b_rx]
+        at %= n
+        at += label_of[b_rx] * (n + 1)
+        lost = pattern[at] & (k0 >= 0) & (k0 < total)
+        lost |= pattern[at + 1] & (rel != k0) & (k0 >= -1) & (k0 < total - 1)
+        cause[out] = coll.view(np.uint8) | (lost.view(np.uint8) << 1)
+
     return ReceptionLog(tuple(u.id for u in users), t, tm.tau_s, tx, rx,
                         slot, start, cause)
 
@@ -620,45 +643,59 @@ def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
     normal = range(1, F - 1)
     nf = len(normal)
     k = len(sc.users)
-    cf = log.contention_free
-    frame_of = np.floor((log.arrive_slots - log.offsets_slots[log.rx]) / L).astype(np.int64)
 
     # contention-free receptions per (rx, tx, normal frame): `want` lists
-    # the keys of the hearing pairs times the normal frames, ascending
+    # the keys of the hearing pairs times the normal frames, ascending.  The
+    # log is read in blocks of `_BLOCK_ROWS` rows, and each block's bincount
+    # spans only the entries of `want` between its least and greatest hit,
+    # so a block's temporaries do not grow with the hearing pairs
     rx, tx = sc.hearing
     want = (((rx * k + tx) * nf)[:, None] + np.arange(nf)).ravel()
-    keep = cf & (frame_of >= 1) & (frame_of <= F - 2)
-    key = ((log.rx[keep].astype(np.int64) * k + log.tx[keep]) * nf
-           + frame_of[keep] - 1)
-    at = np.searchsorted(want, key)
-    hit = at < want.size
-    hit[hit] = want[at[hit]] == key[hit]
-    count = np.bincount(at[hit], minlength=want.size)
+    count = np.zeros(want.size, dtype=np.int64)
+    cf = 0
+    for lo in range(0, len(log), _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        b_rx = log.rx[rows]
+        frame_of = np.floor((log.arrive_slots[rows] - log.offsets_slots[b_rx])
+                            / L).astype(np.int64)
+        keep = log.loss_cause[rows] == 0
+        cf += int(np.count_nonzero(keep))
+        keep &= (frame_of >= 1) & (frame_of <= F - 2)
+        key = ((b_rx[keep].astype(np.int64) * k + log.tx[rows][keep]) * nf
+               + frame_of[keep] - 1)
+        at = np.searchsorted(want, key)
+        hit = at < want.size
+        hit[hit] = want[at[hit]] == key[hit]
+        at = at[hit]
+        if at.size:
+            first = int(at.min())
+            part = np.bincount(at - first)
+            count[first:first + part.size] += part
 
     ids = log.user_ids
     counts = [{"receiver": ids[b], "transmitter": ids[a], "frame": f, "count": c}
               for b, a, f, c in zip(np.repeat(rx, nf).tolist(), np.repeat(tx, nf).tolist(),
                                     list(normal) * rx.size, count.tolist())]
-    violations = [{key: row[key] for key in ("receiver", "transmitter", "frame")}
-                  for row in counts if row["count"] == 0]
+    violations = [{key: counts[z][key] for key in ("receiver", "transmitter", "frame")}
+                  for z in np.flatnonzero(count == 0).tolist()]
     verdict = "holds" if not violations else "violated"
     stats = {"users": len(sc.users), "neighbor_pairs": int(rx.size),
              "normal_frames": list(normal),
              "min_count": int(count.min()) if count.size else None,
-             "receptions": len(log), "contention_free": int(cf.sum())}
+             "receptions": len(log), "contention_free": cf}
     return BlockFreeReport(verdict, violations, counts, stats)
 
 
 def frame_offset_audit(log: ReceptionLog, sc: Scenario) -> bool:
     """Packets sent in frame i must arrive within receiver frames i-1..i+1.
 
-    The log is read in blocks of `_AUDIT_ROWS` rows, so the temporaries stay
+    The log is read in blocks of `_BLOCK_ROWS` rows, so the temporaries stay
     the same size however long the log is.
     """
     L = sc.timing.frame_slots
     eps = 1e-9
-    for a in range(0, len(log), _AUDIT_ROWS):
-        rows = slice(a, a + _AUDIT_ROWS)
+    for a in range(0, len(log), _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
         i_tx = log.slot[rows] // L
         arrive = log.arrive_slots[rows]
         offset = log.offsets_slots[log.rx[rows]]

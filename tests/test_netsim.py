@@ -375,7 +375,7 @@ class TestFrameOffsetAudit:
 
     def test_late_arrival_in_a_later_block(self, monkeypatch):
         # one arrival a frame too late, in the third block of four rows
-        monkeypatch.setattr(netsim, "_AUDIT_ROWS", 4)
+        monkeypatch.setattr(netsim, "_BLOCK_ROWS", 4)
         s = crt0_set(3, 5)
         sc = two_user_scenario(s, "g0", "g2")
         L = sc.timing.frame_slots
@@ -835,8 +835,8 @@ class TestAgainstSlowOracles:
         users = [User(f"u{i}", float(x), float(y), "t0")
                  for i, (x, y) in enumerate(rng.uniform(0, 30, size=(60, 2)))]
         worst = densest_disk_oracle(users, R_SMALL)
-        for block in (netsim._DISK_TESTS, 999, 50):
-            monkeypatch.setattr(netsim, "_DISK_TESTS", block)
+        for block in (netsim._BLOCK_ROWS, 999, 50):
+            monkeypatch.setattr(netsim, "_BLOCK_ROWS", block)
             sc = Scenario(timing(2), R_SMALL, 1.0, worst, users, tdma_set(2, 0),
                           slot_synchronized=True)
             assert sc.max_disk_users == worst
@@ -955,6 +955,74 @@ class TestAgainstSlowOracles:
         assert rep.stats["neighbor_pairs"] == len(neighbor_pairs_oracle(sc))
 
 
+def log_columns(log):
+    """Each column of a log with its dtype, as bytes."""
+    return [(c.dtype.str, c.tobytes()) for c in (log.tx, log.rx, log.slot, log.arrive_slots,
+                                                 log.loss_cause, log.offsets_slots)]
+
+
+class TestReceiverBlocks:
+    """run_superframe builds and classifies blocks of whole receivers, and
+    check_block_free reads the log in blocks: at any block size the log and
+    the report are those of one block over the whole superframe."""
+
+    BLOCKS = (1, 7, 50)
+
+    def runs(self, sc, seed):
+        """(block size, log, report) with `_BLOCK_ROWS` at each of BLOCKS."""
+        for block in self.BLOCKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(netsim, "_BLOCK_ROWS", block)
+                log = run_superframe(sc, seed=seed)
+                rep = check_block_free(log, sc)
+            yield block, log, rep
+
+    def check_against_oracles(self, sc, seed):
+        whole = run_superframe(sc, seed=seed)
+        report = json.dumps(check_block_free(whole, sc).to_json())
+        rows = superframe_rows_oracle(sc, whole.offsets_slots)
+        causes = loss_cause_oracle(whole, sc)
+        counts, violations, min_count = block_free_oracle(whole, sc)
+        for block, log, rep in self.runs(sc, seed):
+            assert log_columns(log) == log_columns(whole), block
+            assert json.dumps(rep.to_json()) == report, block
+            assert list(zip(log.tx.tolist(), log.rx.tolist(), log.slot.tolist(),
+                            log.arrive_slots.tolist())) == rows
+            assert log.loss_cause.tolist() == causes
+            assert rep.counts == counts and rep.violations == violations
+            assert rep.stats["min_count"] == min_count
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_scenarios())
+    def test_small_blocks_against_oracles(self, case):
+        self.check_against_oracles(*case)
+
+    def test_receiver_larger_than_a_block(self):
+        # a hub 9 m from five spokes that are over R = 10 m apart: the hub
+        # hears 45 rows, each spoke 9, so at a block of 7 or 50 rows the hub,
+        # in the middle of the receiver order, has a block of its own
+        s = crt0_set(3, 5)
+        spokes = [(9 * math.cos(a), 9 * math.sin(a)) for a in np.arange(5) * 2 * math.pi / 5]
+        points = spokes[:2] + [(0.0, 0.0)] + spokes[2:]
+        users = [User(f"u{i}", x, y, s.labels[i % 3], 2 * i) for i, (x, y) in enumerate(points)]
+        sc = Scenario(TimingModel(2e-8, s.period, 3, 1, 2), R_SMALL, 1.0, 6, users, s)
+        assert np.bincount(sc.hearing[0]).tolist() == [1, 1, 5, 1, 1, 1]
+        for seed in range(3):
+            self.check_against_oracles(sc, seed)
+
+    def test_no_hearing_pair(self):
+        s = crt0_set(3, 5)
+        users = [User("a", 0, 0, "g0"), User("b", 500, 0, "g2", 4)]
+        sc = Scenario(TimingModel(2e-8, s.period, 3, 1, 2), R_SMALL, 1.0, 2, users, s)
+        for block, log, rep in self.runs(sc, 0):
+            assert len(log) == 0
+            assert [c.dtype for c in (log.tx, log.rx, log.slot, log.arrive_slots,
+                                      log.loss_cause)] == [np.int32, np.int32, np.int64,
+                                                           np.float64, np.uint8]
+            assert rep.holds and rep.counts == [] and rep.violations == []
+            assert rep.stats["min_count"] is None and rep.stats["receptions"] == 0
+
+
 def field_config(users):
     """The 400-user field deployment on an area scaled to keep its density."""
     h, R = 150.0, 500.0
@@ -994,7 +1062,7 @@ class TestSparseGeometry:
         finally:
             tracemalloc.stop()
         assert len(log) > 3000
-        assert (peak - base) / len(log) <= 66
+        assert (peak - base) / len(log) <= 35
         assert (held - base) / len(log) <= 26
 
     def test_frame_offset_audit_memory(self):
@@ -1011,3 +1079,19 @@ class TestSparseGeometry:
             tracemalloc.stop()
         assert ok and len(log) > 500_000
         assert peak - base < 4e6
+
+    def test_block_free_memory(self):
+        # the log is read in fixed-size blocks, and the counts are one array
+        # over the hearing pairs' normal frames; whole-log temporaries took
+        # 19.8 MB here
+        sc = Scenario.from_config(field_config(3000))
+        log = run_superframe(sc, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = check_block_free(log, sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds and len(log) > 500_000
+        assert peak - base < 8e6
