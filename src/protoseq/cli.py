@@ -81,17 +81,30 @@ def _require(args, *names):
 
 # ---------------------------------------------------------------------------
 
-# gen flag -> config key; the file flags name saved sets, and an empty
-# string counts as absent (--pad 0 pads nothing either way)
-_GEN_KEYS = {"p": "p", "q": "q", "n": "n", "k": "k", "alpha": "alpha",
-             "g": "G", "delta": "delta", "m": "M", "x": "x", "y": "y",
-             "base": "base", "split": "split_labels", "pad": "pad_slots"}
+# gen flag -> (config key, type, help), in the order --help lists them; the
+# file flags name saved sets, and an empty string counts as absent (--pad 0
+# pads nothing either way)
+_GEN_FLAGS = {
+    "p": ("p", int, None),
+    "q": ("q", int, None),
+    "n": ("n", int, None),
+    "k": ("k", int, None),
+    "alpha": ("alpha", int, None),
+    "g": ("G", int, None),
+    "delta": ("delta", int, None),
+    "x": ("x", str, "left factor set file (product)"),
+    "y": ("y", str, "right factor set file (product)"),
+    "base": ("base", str, "base set file (expanded)"),
+    "m": ("M", int, "local user bound (expanded)"),
+    "split": ("split_labels", str, "comma-separated guard labels"),
+    "pad": ("pad_slots", int, "pad with this many silent slots per 1"),
+}
 _FILE_FLAGS = ("x", "y", "base")
 
 
 def cmd_gen(args) -> int:
     cfg = {"construction": args.kind}
-    for flag, key in _GEN_KEYS.items():
+    for flag, (key, _, _) in _GEN_FLAGS.items():
         value = getattr(args, flag)
         if value is None or value == "":
             continue
@@ -101,7 +114,7 @@ def cmd_gen(args) -> int:
             value = value.split(",")
         cfg[key] = value
     required, optional, _ = CONSTRUCTIONS[args.kind]
-    unread = [f"--{flag}" for flag, key in _GEN_KEYS.items()
+    unread = [f"--{flag}" for flag, (key, _, _) in _GEN_FLAGS.items()
               if key in cfg and key not in (*required, *optional, *COMMON_KEYS)]
     if unread:
         raise ValueError(f"construction {args.kind!r} does not read flag(s): "
@@ -286,25 +299,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", parents=[common],
                        help="construct a sequence set and write it as JSON")
     g.add_argument("kind", choices=list(CONSTRUCTIONS))
-    g.add_argument("--p", type=int)
-    g.add_argument("--q", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--k", type=int)
-    g.add_argument("--alpha", type=int)
-    g.add_argument("--g", type=int)
-    g.add_argument("--delta", type=int)
-    g.add_argument("--x", type=str, help="left factor set file (product)")
-    g.add_argument("--y", type=str, help="right factor set file (product)")
-    g.add_argument("--base", type=str, help="base set file (expanded)")
-    g.add_argument("--m", type=int, help="local user bound (expanded)")
-    g.add_argument("--split", type=str, help="comma-separated guard labels")
-    g.add_argument("--pad", type=int, help="pad with this many silent slots per 1")
+    for flag, (_, kind, text) in _GEN_FLAGS.items():
+        g.add_argument(f"--{flag}", type=kind, help=text)
     g.set_defaults(func=cmd_gen)
 
     v = sub.add_parser("verify", parents=[common],
                        help="run a property audit and write a report")
-    v.add_argument("property", choices=["ui", "xcorr", "separation", "window",
-                                        "cf-count", "cf-gap"])
+    v.add_argument("property", choices=list(_VERIFY_READS))
     v.add_argument("--set", type=str, help="sequence set JSON file")
     v.add_argument("--config", type=str, help="inline construction config JSON")
     v.add_argument("--mode", choices=["exhaustive", "random"],

@@ -111,6 +111,8 @@ def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
     if cfg.get("select"):
         s = s.select(list(cfg["select"]))
     pad = int(cfg.get("pad_slots", 0))
+    if pad < 0:
+        raise ValueError(f"'pad_slots' must be >= 0, got {pad}")
     if pad:
         from .rscpc import pad_set
         s = pad_set(s, pad)

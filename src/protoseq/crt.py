@@ -164,8 +164,9 @@ def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
         raise ValueError(f"need n >= (k-1)(M-1)+1 = {(k - 1) * (M - 1) + 1}, got n={n}")
     if len(spec.split_labels) != p or len(set(spec.split_labels)) != p:
         raise ValueError(f"split_labels must name {p} distinct members")
-    for lab in spec.split_labels:
-        base.get(lab)  # raises KeyError if absent
+    unknown = ", ".join(repr(lab) for lab in spec.split_labels if lab not in base.labels)
+    if unknown:
+        raise ValueError(f"split label(s) not in the base set: {unknown}")
     peak = _pair_peaks(base.sequences)
     over = np.flatnonzero(peak > k - 1)
     if over.size:

@@ -21,7 +21,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,12 @@ SPEED_OF_LIGHT = 299_792_458.0
 # loss_cause codes 1, 2 and 3: another arrival at the receiver overlaps the
 # reception, the receiver transmits during it, or both
 LOSS_CAUSES = ("overlap", "half_duplex", "both")
-# rows per block of every pass over pairs or log rows: (pair, user) tests of
-# the densest-disk count, and log rows in run_superframe, check_block_free
-# and frame_offset_audit.  The passes' temporaries stay this size at any
-# user count
+# rows per block of the array passes: (pair, user) tests of the densest-disk
+# count, and log rows in run_superframe, check_block_free and
+# frame_offset_audit.  Their temporaries stay this size at any user count
 _BLOCK_ROWS = 1 << 14
+# offset combinations adversarial_offset_search scans at most
+_COMBO_CAP = 200_000
 # the keys a scenario config must give (Scenario.from_config)
 _REQUIRED_KEYS = ("sequences", "tau_s", "R_m", "L", "F", "delta_c_slots", "M", "h_m",
                   "users")
@@ -115,8 +116,9 @@ class Scenario:
     (k x 2), `hearing`, the (receiver, transmitter) index arrays of every
     ordered pair closer than R, receiver-major with ascending transmitters,
     `hearing_dist` and `hearing_delay_slots`, the distance and propagation
-    delay of each of those pairs (no delay when slot-synchronised), and
-    `label_index`, each user's position in the sequence set.  No k x k
+    delay of each of those pairs (no delay when slot-synchronised),
+    `label_index`, each user's position in the sequence set, and the user
+    columns the simulator reads: `ids`, `shifts` and `offsets_s`.  No k x k
     array is formed: candidate pairs come from a grid of buckets at least
     2R wide (see `_near_pairs`), and the checks run on the pairs within 2R.
     """
@@ -135,14 +137,18 @@ class Scenario:
             raise ValueError("R and h must be positive")
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        ids = [u.id for u in self.users]
-        if len(set(ids)) != len(ids):
+        self.ids: tuple[str, ...] = tuple(u.id for u in self.users)
+        if len(set(self.ids)) != len(self.ids):
             raise ValueError("user ids must be unique")
         if self.sequence_set.period != self.timing.frame_slots:
             raise ValueError(
                 f"sequence period {self.sequence_set.period} must equal frame "
                 f"length {self.timing.frame_slots}")
-        self._check_offsets()
+        self.shifts: np.ndarray = np.array([u.shift for u in self.users], dtype=np.int64)
+        # NaN where the offset is drawn per run: numpy reads None as NaN
+        self.offsets_s: np.ndarray = np.array([u.offset_s for u in self.users],
+                                              dtype=np.float64)
+        self._check_offsets(np.array([u.offset_s is None for u in self.users], dtype=bool))
         self.positions: np.ndarray = np.array(
             [(u.x, u.y) for u in self.users], dtype=np.float64).reshape(-1, 2)
         self._resolve_labels()
@@ -159,14 +165,13 @@ class Scenario:
         self._check_interferer_cap(near, tol)
         self._check_propagation_bound()
 
-    def _check_offsets(self):
+    def _check_offsets(self, drawn: np.ndarray):
+        # a drawn offset lies inside the bound; a given NaN does not
         bound = self.timing.tau_s * self.timing.delta_c_slots
-        # an absent offset is drawn per run inside the bound; 0 stands in for it
-        off = np.array([0.0 if u.offset_s is None else u.offset_s for u in self.users],
-                       dtype=np.float64)
-        bad = np.flatnonzero(~((-1e-12 <= off) & (off <= bound + 1e-12)))
+        off = self.offsets_s
+        bad = np.flatnonzero(~((-1e-12 <= off) & (off <= bound + 1e-12)) & ~drawn)
         if bad.size:
-            raise ValueError(f"offset of {self.users[bad[0]].id!r} outside [0, {bound}]")
+            raise ValueError(f"offset of {self.ids[bad[0]]!r} outside [0, {bound}]")
 
     def _resolve_labels(self):
         x, y = self.positions.T
@@ -181,9 +186,9 @@ class Scenario:
         label = np.array([index.get(lab, -1) for lab in wanted.tolist()], dtype=np.int64)
         bad = np.flatnonzero(label < 0)
         if bad.size:
-            u = self.users[int(bad[0])]
-            if self.plan is None and u.label is None:
-                raise ValueError(f"user {u.id!r} has no label and no plan given")
+            b = int(bad[0])
+            if self.plan is None and planned[b]:
+                raise ValueError(f"user {self.ids[b]!r} has no label and no plan given")
             raise ValueError(f"label {wanted[bad[0]]!r} not in the sequence set")
         if planned.any():
             # the first user whose cell an earlier user holds, and that user
@@ -194,12 +199,12 @@ class Scenario:
                 b = int(again[0])
                 a = int(first[cell[b]])
                 raise ValueError(
-                    f"users {self.users[a].id!r} and {self.users[b].id!r} occupy the "
+                    f"users {self.ids[a]!r} and {self.ids[b]!r} occupy the "
                     f"same cell {(int(m[b]), int(n[b]))}; one cell holds at most one user")
         self.label_index: np.ndarray = label
         self.resolved_labels: tuple[str, ...] = tuple(
             np.array(names, dtype=object)[label].tolist())
-        self.label_from_plan: tuple[bool, ...] = tuple(planned.tolist())
+        self.label_from_plan: np.ndarray = planned
         self._cell_mn = (m, n)
 
     @property
@@ -212,7 +217,7 @@ class Scenario:
         # labeled users are the scenario author's responsibility (collision
         # scenarios are legitimate experiments)
         i, j, d = near
-        planned = np.array(self.label_from_plan, dtype=bool)
+        planned = self.label_from_plan
         lab = self.label_index
         clash = np.flatnonzero((i < j) & planned[i] & planned[j] & (lab[i] == lab[j])
                                & (d < 2 * self.R_m * (1 - 1e-12)))
@@ -220,7 +225,7 @@ class Scenario:
             n = clash[0]
             a, b = int(i[n]), int(j[n])
             raise ValueError(
-                f"users {self.users[a].id!r} and {self.users[b].id!r} share "
+                f"users {self.ids[a]!r} and {self.ids[b]!r} share "
                 f"label {self.resolved_labels[a]!r} at distance "
                 f"{float(d[n]):.3f} m < 2R = {2 * self.R_m:.3f} m")
 
@@ -284,7 +289,7 @@ class Scenario:
             n = int(over[0])
             b, a = int(rx[n]), int(tx[n])
             raise ValueError(
-                f"users {self.users[b].id!r} and {self.users[a].id!r} are "
+                f"users {self.ids[b]!r} and {self.ids[a]!r} are "
                 f"{float(self.hearing_dist[n]):.3f} m apart: propagation delay "
                 f"{float(self.hearing_delay_slots[n]):.3f} slots exceeds delta_p = "
                 f"{self.timing.delta_p_slots} slots")
@@ -501,17 +506,13 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     they are sorted by arrival, ties kept in (transmitter, slot) order.
     """
     rng = np.random.default_rng(seed)
-    users = sc.users
-    k = len(users)
+    k = len(sc.ids)
     tm = sc.timing
     n = sc.sequence_set.period
     total = tm.active_slots
 
     draws = rng.uniform(0.0, float(tm.delta_c_slots), size=k)
-    offset = np.array([np.nan if u.offset_s is None else u.offset_s for u in users],
-                      dtype=np.float64)
-    t = np.where(np.isnan(offset), draws, offset / tm.tau_s)
-    shift_of = np.array([u.shift for u in users], dtype=np.int64)
+    t = np.where(np.isnan(sc.offsets_s), draws, sc.offsets_s / tm.tau_s)
     label_of = sc.label_index
 
     # each user's transmit slots over the superframe, ascending, user-major:
@@ -524,7 +525,7 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     ones = np.array([o for member in members for o in member.ones], dtype=np.int64)
     w = weight[label_of]
     owner = np.repeat(np.arange(k, dtype=np.int64), w)
-    key = (ones[_ranges((np.cumsum(weight) - weight)[label_of], w)] + shift_of[owner]) % n
+    key = (ones[_ranges((np.cumsum(weight) - weight)[label_of], w)] + sc.shifts[owner]) % n
     key += owner * n
     key.sort()
     key -= owner * n
@@ -595,15 +596,14 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
 
         rel = b_start - t[b_rx]
         k0 = np.floor(rel).astype(np.int64)
-        at = k0 - shift_of[b_rx]
+        at = k0 - sc.shifts[b_rx]
         at %= n
         at += label_of[b_rx] * (n + 1)
         lost = pattern[at] & (k0 >= 0) & (k0 < total)
         lost |= pattern[at + 1] & (rel != k0) & (k0 >= -1) & (k0 < total - 1)
         cause[out] = coll.view(np.uint8) | (lost.view(np.uint8) << 1)
 
-    return ReceptionLog(tuple(u.id for u in users), t, tm.tau_s, tx, rx,
-                        slot, start, cause)
+    return ReceptionLog(sc.ids, t, tm.tau_s, tx, rx, slot, start, cause)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +642,7 @@ def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
         raise ValueError("block-free audit needs F >= 3 (no normal frame otherwise)")
     normal = range(1, F - 1)
     nf = len(normal)
-    k = len(sc.users)
+    k = len(sc.ids)
 
     # contention-free receptions per (rx, tx, normal frame): `want` lists
     # the keys of the hearing pairs times the normal frames, ascending.  The
@@ -679,7 +679,7 @@ def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
     violations = [{key: counts[z][key] for key in ("receiver", "transmitter", "frame")}
                   for z in np.flatnonzero(count == 0).tolist()]
     verdict = "holds" if not violations else "violated"
-    stats = {"users": len(sc.users), "neighbor_pairs": int(rx.size),
+    stats = {"users": k, "neighbor_pairs": int(rx.size),
              "normal_frames": list(normal),
              "min_count": int(count.min()) if count.size else None,
              "receptions": len(log), "contention_free": cf}
@@ -705,13 +705,12 @@ def frame_offset_audit(log: ReceptionLog, sc: Scenario) -> bool:
     return True
 
 
-def adversarial_offset_search(sc: Scenario, step_slots: float = 0.5,
-                              combo_cap: int = 200_000):
+def adversarial_offset_search(sc: Scenario, step_slots: float = 0.5):
     """Grid-search user clock offsets for a block-free violation.
 
     Scans every combination of offsets in [0, tau*delta_c] at the given
-    slot-unit step.  Returns (offsets_s, report) for the first violating
-    combination, or None when the grid is clean.
+    slot-unit step, at most `_COMBO_CAP` of them.  Returns (offsets_s,
+    report) for the first violating one, or None when the grid is clean.
     """
     from itertools import product as iproduct
 
@@ -721,17 +720,15 @@ def adversarial_offset_search(sc: Scenario, step_slots: float = 0.5,
     # the last point is clamped: a step that does not divide delta_c overshoots it
     vals = np.minimum(np.arange(0.0, tm.delta_c_slots + step_slots / 2, step_slots),
                       tm.delta_c_slots)
-    combos = len(vals) ** len(sc.users)
-    if combos > combo_cap:
-        raise ValueError(f"{combos} offset combinations exceed cap {combo_cap}")
-    for combo in iproduct(vals, repeat=len(sc.users)):
-        # only the offsets change, so the validated geometry carries over
-        trial = copy.copy(sc)
-        trial.users = [replace(u, offset_s=float(o) * tm.tau_s)
-                       for u, o in zip(sc.users, combo)]
-        trial._check_offsets()
-        log = run_superframe(trial, seed=0)
-        report = check_block_free(log, trial)
+    combos = len(vals) ** len(sc.ids)
+    if combos > _COMBO_CAP:
+        raise ValueError(f"{combos} offset combinations exceed cap {_COMBO_CAP}")
+    # only the offsets change, so the validated geometry carries over; the
+    # clamped grid lies inside the clock bound
+    trial = copy.copy(sc)
+    for combo in iproduct(vals, repeat=len(sc.ids)):
+        trial.offsets_s = np.array(combo) * tm.tau_s
+        report = check_block_free(run_superframe(trial, seed=0), trial)
         if not report.holds:
-            return [float(o) * tm.tau_s for o in combo], report
+            return trial.offsets_s.tolist(), report
     return None

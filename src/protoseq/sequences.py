@@ -67,9 +67,6 @@ class BinarySequence:
         j = bisect.bisect_left(self.ones, i)
         return int(j < len(self.ones) and self.ones[j] == i)
 
-    def shift(self, t: int) -> "BinarySequence":
-        return cyclic_shift(self, t)
-
     def to_json(self, label: str | None = None) -> dict:
         obj: dict = {"period": self.period, "ones": list(self.ones)}
         if label is not None:
@@ -296,6 +293,9 @@ class SequenceSet:
     def select(self, labels: Iterable[str]) -> "SequenceSet":
         """Subset preserving the given label order; meta records the parent."""
         labels = list(labels)
+        unknown = ", ".join(repr(l) for l in labels if l not in self.labels)
+        if unknown:
+            raise ValueError(f"select label(s) not in the set: {unknown}")
         seqs = tuple(self.get(l) for l in labels)
         meta = dict(self.meta)
         meta["selected_from"] = meta.get("construction")

@@ -23,12 +23,13 @@ from .sequences import (SequenceSet, _pair_peaks, json_text, min_separation,
 
 __all__ = list(_EXPORTS["verify"])
 
-DEFAULT_STATE_CAP = 100_000_000
+# assignments an exhaustive scan enumerates at most
+STATE_CAP = 100_000_000
 _BATCH = 1 << 14
 
 
 class StateCapExceeded(ValueError):
-    """Exhaustive enumeration would exceed the configured state cap."""
+    """Exhaustive enumeration would exceed the state cap, `STATE_CAP`."""
 
 
 @dataclass(frozen=True)
@@ -86,11 +87,11 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 # the shift-space engine: one enumerator, one rotation table, one stack
 
-def _check_cap(n: int, k: int, cap: int) -> int:
+def _check_cap(n: int, k: int) -> int:
     states = n ** (k - 1)
-    if states > cap:
+    if states > STATE_CAP:
         raise StateCapExceeded(
-            f"exhaustive mode needs {states} assignments (> cap {cap}); "
+            f"exhaustive mode needs {states} assignments (> cap {STATE_CAP}); "
             f"use random mode with a seed instead"
         )
     return states
@@ -104,8 +105,7 @@ def _check_mode(mode: str, samples: int) -> None:
 
 
 def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
-                        seed: int | None = None, cap: int = DEFAULT_STATE_CAP,
-                        lo: int = 0, hi: int | None = None):
+                        seed: int | None = None, lo: int = 0, hi: int | None = None):
     """Yield (start_index, prefix, last) blocks of about _BATCH packed words.
 
     An assignment stacks ceil(n / 64) words, so a block holds at most
@@ -121,7 +121,7 @@ def _assignment_batches(n: int, k: int, mode: str, samples: int = 0,
     _check_mode(mode, samples)
     per = max(1, _BATCH // -(-n // 64))  # assignments per block
     if mode == "exhaustive":
-        _check_cap(n, k, cap)
+        _check_cap(n, k)
         digits = [range(1), range(lo, n if hi is None else hi), *[range(n)] * (k - 2)][:k]
         last = digits.pop()
         prefixes = math.prod(map(len, digits))
@@ -390,10 +390,10 @@ def _scan_ui(args: tuple) -> tuple[list[int] | None, int | None, int]:
     Returns (shifts, 0, scanned) for it, or (None, least, scanned) with the
     least conflict-free count seen when every assignment passes.
     """
-    rot, mode, samples, seed, cap, lo, hi = args
+    rot, mode, samples, seed, lo, hi = args
     _, k, n = rot.shape
     return _scan(
-        _assignment_batches(n, k, mode, samples, seed, cap, lo, hi),
+        _assignment_batches(n, k, mode, samples, seed, lo, hi),
         lambda prefix, last: _cf_counts(_stack(rot, prefix, last, True)).min(axis=0),
         np.min, lambda m: m < 1)
 
@@ -413,8 +413,7 @@ def _peaks_certify_ui(s: SequenceSet) -> bool:
 
 
 def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
-          seed: int | None = None, jobs: int = 1,
-          state_cap: int = DEFAULT_STATE_CAP) -> VerifyReport:
+          seed: int | None = None, jobs: int = 1) -> VerifyReport:
     """Check that every member keeps a conflict-free 1 under any shifts.
 
     Equivalent to the stacked matrix always containing a k-by-k permutation
@@ -435,13 +434,13 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
     k = len(s)
     stats = {"members": k, "period": n}
     if mode == "exhaustive":
-        states = _check_cap(n, k, state_cap)
+        states = _check_cap(n, k)
         stats["pinned_first_shift"] = True
         if _peaks_certify_ui(s):
             return VerifyReport("ui", "exhaustive", states, None, "holds", None, stats)
         rot = _rotations(s)
         # no more chunks than states: one member has a single state
-        args = [(rot, mode, 0, None, state_cap, lo, hi)
+        args = [(rot, mode, 0, None, lo, hi)
                 for lo, hi in _chunk_ranges(n, min(jobs, states))]
         if len(args) == 1:
             found = [_scan_ui(args[0])]
@@ -456,7 +455,7 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
                             "holds" if ce is None else "violated",
                             None if ce is None else {"shifts": ce}, stats)
 
-    ce, least, scanned = _scan_ui((_rotations(s), mode, samples, seed, state_cap, 0, None))
+    ce, least, scanned = _scan_ui((_rotations(s), mode, samples, seed, 0, None))
     if ce is not None:
         return VerifyReport("ui", "random", scanned, seed, "violated",
                             {"shifts": ce}, stats)
@@ -482,8 +481,8 @@ def _protected_indices(s: SequenceSet, protected_labels) -> list[int]:
 
 def min_conflict_free_count(s: SequenceSet, protected_labels=None,
                             mode: str = "random", samples: int = 10_000,
-                            seed: int | None = None, threshold: int | None = None,
-                            state_cap: int = DEFAULT_STATE_CAP) -> VerifyReport:
+                            seed: int | None = None,
+                            threshold: int | None = None) -> VerifyReport:
     """Minimum per-period conflict-free-1 count over protected rows.
 
     Verdict compares the minimum against `threshold` (default: the family's
@@ -498,7 +497,7 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
     idx = _protected_indices(s, protected_labels)
     counts = _member_frames(s, idx, gaps=False)
     ce, low, scanned = _scan(
-        _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
+        _assignment_batches(s.period, len(s), mode, samples, seed),
         lambda prefix, last: counts(prefix, last).min(axis=0), np.min,
         lambda m: m < threshold)
     stats = {"min_count": low, "threshold": threshold}
@@ -513,8 +512,7 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
 
 def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
                           mode: str = "random", samples: int = 10_000,
-                          seed: int | None = None, bound: int | None = None,
-                          state_cap: int = DEFAULT_STATE_CAP) -> VerifyReport:
+                          seed: int | None = None, bound: int | None = None) -> VerifyReport:
     """Largest circular gap between conflict-free 1s over protected rows.
 
     Verdict compares against `bound` (default meta["cf_gap_bound"]).
@@ -528,7 +526,7 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
     idx = _protected_indices(s, protected_labels)
     gaps = _member_frames(s, idx, gaps=True)
     ce, high, scanned = _scan(
-        _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
+        _assignment_batches(s.period, len(s), mode, samples, seed),
         lambda prefix, last: gaps(prefix, last).max(axis=0), np.max, lambda m: m > bound)
     stats = {"max_gap": high or 0, "bound": bound}
     if ce is None:
@@ -552,8 +550,7 @@ def zero_column_window(m: StackedMatrix, window: int) -> bool:
 
 
 def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaustive",
-                 samples: int = 100_000, seed: int | None = None,
-                 state_cap: int = DEFAULT_STATE_CAP) -> VerifyReport:
+                 samples: int = 100_000, seed: int | None = None) -> VerifyReport:
     """zero_column_window across shift assignments of a whole family.
 
     Default window is 2p for families carrying meta["p"].  Exhaustive mode
@@ -567,7 +564,7 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
     _check_window(window, s.period)
     rot = _rotations(s)
     ce, longest, scanned = _scan(
-        _assignment_batches(s.period, len(s), mode, samples, seed, state_cap),
+        _assignment_batches(s.period, len(s), mode, samples, seed),
         lambda prefix, last: _max_packed_run(_stack(rot, prefix, last), s.period), np.max,
         lambda m: m > window - 1)
     stats = {"max_occupied_run": longest or 0, "window": window}

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import protoseq
-from protoseq.cli import main
+from protoseq.cli import _GEN_FLAGS, _build_parser, main
 from protoseq.crt import crt0_set
 from protoseq.hexalloc import ReusePlan
 from protoseq.rscpc import tdma_set
@@ -99,6 +100,14 @@ class TestGen:
         assert run("gen", "crt0", "--p", "3", "--q", "5", "--split", "g0") == 2
         assert "--split" in capsys.readouterr().err
 
+    def test_parser_reads_the_flag_table(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        own = [a for a in sub.choices["gen"]._actions
+               if a.option_strings and a.dest not in ("help", "seed", "jobs", "out")]
+        assert [(a.option_strings, a.type) for a in own] == \
+               [([f"--{flag}"], kind) for flag, (_, kind, _) in _GEN_FLAGS.items()]
+
     def test_empty_split_and_zero_pad_are_absent(self, tmp_path, capsys):
         base = tmp_path / "base.json"
         run("gen", "rs_cpc", "--n", "8", "--p", "17", "--k", "3",
@@ -111,6 +120,27 @@ class TestGen:
             doc = json.loads(capsys.readouterr().out)
             docs.append((doc["meta"], doc["sequences"]))
         assert docs[0] == docs[1]
+
+
+class TestBadLabelsAndPads:
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "ui", "--config",
+          '{"construction":"crt0","p":3,"q":5,"select":["g0","zz"]}'],
+         "select label(s) not in the set: 'zz'"),
+        (["gen", "expanded", "--base", "BASE", "--p", "2", "--m", "2", "--split", "zz,yy"],
+         "split label(s) not in the base set: 'zz', 'yy'"),
+        (["gen", "crt0", "--p", "3", "--q", "5", "--pad", "-2"],
+         "'pad_slots' must be >= 0, got -2"),
+        (["verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5,"pad_slots":-1}'],
+         "'pad_slots' must be >= 0, got -1"),
+    ])
+    def test_bad_label_or_pad_is_named(self, argv, message, tmp_path, capsys):
+        base = tmp_path / "b.json"
+        assert run("gen", "rs_cpc", "--n", "5", "--p", "11", "--k", "3",
+                   "--out", str(base)) == 0
+        capsys.readouterr()
+        assert run(*(str(base) if a == "BASE" else a for a in argv)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestVerify:

@@ -266,6 +266,8 @@ class TestRejectedArguments:
                      "split_labels must name 3 distinct members", id="split-repeated"),
         pytest.param(expand_small_base(split=("a", "b")),
                      "split_labels must name 3 distinct members", id="split-count"),
+        pytest.param(expand_small_base(split=("x", "a", "y")),
+                     "split label(s) not in the base set: 'x', 'y'", id="split-unknown"),
     ])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as err:

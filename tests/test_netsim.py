@@ -417,10 +417,11 @@ class TestAdversarialSearch:
         with pytest.raises(ValueError, match="^step_slots must be positive"):
             adversarial_offset_search(self._unpadded(), step_slots=step)
 
-    def test_combo_cap(self):
+    def test_combo_cap(self, monkeypatch):
         sc = self._unpadded()
+        monkeypatch.setattr(netsim, "_COMBO_CAP", 100)
         with pytest.raises(ValueError):
-            adversarial_offset_search(sc, step_slots=0.01, combo_cap=100)
+            adversarial_offset_search(sc, step_slots=0.01)
 
     def test_grid_stays_within_clock_bound(self):
         # a step that does not divide delta_c used to overshoot it (0.3 * 7 = 2.1)
@@ -429,6 +430,52 @@ class TestAdversarialSearch:
                       crt0_set(3, 5))
         # the whole grid, up to delta_c itself, is scanned and stays block-free
         assert adversarial_offset_search(sc, step_slots=0.3) is None
+
+    @staticmethod
+    def _rebuilt_search(sc, step):
+        """Reference: a new scenario per grid point, its offsets set on its users."""
+        dc, tau = sc.timing.delta_c_slots, sc.timing.tau_s
+        grid = []
+        while len(grid) * step < dc + step / 2:
+            grid.append(min(len(grid) * step, dc))
+        for combo in itertools.product(grid, repeat=len(sc.users)):
+            offsets = [o * tau for o in combo]
+            users = [replace(u, offset_s=o) for u, o in zip(sc.users, offsets)]
+            trial = Scenario(sc.timing, sc.R_m, sc.h_m, sc.M, users, sc.sequence_set)
+            report = check_block_free(run_superframe(trial, seed=0), trial)
+            if not report.holds:
+                return offsets, report.to_json()
+        return None
+
+    @pytest.mark.parametrize("users, step", [
+        (3, 1.0), (3, 0.5), (3, 0.7), (2, 0.3), (2, 1.0)])
+    def test_matches_rebuilt_scenarios(self, users, step):
+        # the unpadded three-user scenario is criterion 9's negative control
+        sc = self._unpadded()
+        if users == 2:
+            sc = Scenario(TimingModel(1e-3, 15, 3, 2, 1), 500.0, 1.0, 2, sc.users[:2],
+                          crt0_set(3, 5))
+        found = adversarial_offset_search(sc, step_slots=step)
+        assert (found if found is None else (found[0], found[1].to_json())) \
+            == self._rebuilt_search(sc, step)
+
+
+class TestUserColumns:
+    def test_columns_follow_the_users(self):
+        users = [User("a", 0, 0, "g0", 7), User("b", 200, 0, "g2", 3, 1e-3),
+                 User("c", 0, 350, "*", 11, 0.0)]
+        sc = Scenario(timing(15, dc=2, dp=1), 500.0, 1.0, 3, users, crt0_set(3, 5))
+        assert sc.ids == ("a", "b", "c")
+        assert sc.shifts.dtype == np.int64 and sc.shifts.tolist() == [7, 3, 11]
+        assert sc.offsets_s.dtype == np.float64
+        assert np.isnan(sc.offsets_s).tolist() == [u.offset_s is None for u in users]
+        assert sc.offsets_s[1:].tolist() == [1e-3, 0.0]
+
+    def test_given_nan_offset_is_refused(self):
+        # NaN marks a drawn offset in the column, but a user cannot give one
+        users = [User("a", 0, 0, "g0", 7, math.nan)]
+        with pytest.raises(ValueError, match="^offset of 'a' outside"):
+            Scenario(timing(15, dc=2, dp=1), 500.0, 1.0, 3, users, crt0_set(3, 5))
 
 
 class TestConfigLoading:

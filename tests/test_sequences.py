@@ -338,6 +338,9 @@ class TestRejectedArguments:
                      id="set-empty"),
         pytest.param(lambda: SequenceSet((seq(3, [0]),), ("a",)).get("b"), KeyError,
                      "'b'", id="set-get"),
+        pytest.param(lambda: SequenceSet((seq(3, [0]),), ("a",)).select(["b", "a", "c"]),
+                     ValueError, "select label(s) not in the set: 'b', 'c'",
+                     id="set-select"),
     ])
     def test_message(self, call, exc, message):
         with pytest.raises(exc) as err:

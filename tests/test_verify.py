@@ -170,9 +170,10 @@ class TestIsUi:
         t = r.counterexample["shifts"]
         assert (t[0] + 0) % 2 == (t[1] + 1) % 2  # both land on one column
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
+        monkeypatch.setattr(verify, "STATE_CAP", 1000)
         with pytest.raises(StateCapExceeded):
-            is_ui(crt0_set(5, 9), state_cap=1000)
+            is_ui(crt0_set(5, 9))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
