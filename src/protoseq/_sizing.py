@@ -1,5 +1,5 @@
-"""Integer-only sizing: the frame-length searches, the comparison table built
-from them, and the package's JSON data format.
+"""Integer-only sizing: the frame-length searches and comparison table, the
+package's JSON data format, and the config readers' key and integer checks.
 
 Nothing here imports numpy, so `params`, `compare` and `alloc` start
 without it.  The public names are re-exported by the modules the package's
@@ -17,6 +17,24 @@ from dataclasses import dataclass
 def json_text(doc) -> str:
     """The package's JSON data format: two-space indent, sorted keys, final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _require_keys(cfg: dict, keys, what: str) -> None:
+    """ValueError naming `what` and each of `keys` that `cfg` lacks or holds as null."""
+    missing = [key for key in keys if cfg.get(key) is None]
+    if missing:
+        raise ValueError(f"{what} is missing required key(s): "
+                         + ", ".join(repr(key) for key in missing))
+
+
+def _config_int(value, name: str, non_negative: bool = False) -> int:
+    """`value` as an int if it is an int or a whole float, not a bool; else ValueError."""
+    whole = ((hasattr(value, "__index__") and not isinstance(value, bool))
+             or (isinstance(value, float) and value.is_integer()))
+    if not whole or (non_negative and value < 0):
+        raise ValueError(f"{name} must be {'a non-negative' if non_negative else 'an'} "
+                         f"integer, got {value!r}")
+    return int(value)
 
 
 def _is_prime(n: int) -> bool:

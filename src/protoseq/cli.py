@@ -154,11 +154,8 @@ def cmd_verify(args) -> int:
     s = _load_set(args)
     protected = args.protected.split(",") if args.protected else None
     if prop == "ui":
-        # resolved here, not as the flag's default, so that the host's CPU
-        # count never reaches the manifest's config digest
-        jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
         rep = is_ui(s, mode=mode, samples=args.samples, seed=args.seed,
-                    jobs=jobs)
+                    jobs=1 if args.jobs is None else args.jobs)
     elif prop == "xcorr":
         _require(args, "bound")
         rep = xcorr_bound_audit(s, args.bound)

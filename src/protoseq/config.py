@@ -15,6 +15,7 @@ import os
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
+from ._sizing import _config_int, _require_keys
 
 # sequences, crt and rscpc are imported inside the builders that call them:
 # the CLI's parser reads CONSTRUCTIONS, and a command that builds no set
@@ -27,22 +28,22 @@ __all__ = list(_EXPORTS["config"])
 
 def _crt(cfg: dict, base_dir: str) -> SequenceSet:
     from .crt import crt_set
-    return crt_set(int(cfg["p"]), int(cfg["q"]))
+    return crt_set(cfg["p"], cfg["q"])
 
 
 def _crt0(cfg: dict, base_dir: str) -> SequenceSet:
     from .crt import crt0_set
-    return crt0_set(int(cfg["p"]), int(cfg["q"]))
+    return crt0_set(cfg["p"], cfg["q"])
 
 
 def _rs_cpc(cfg: dict, base_dir: str) -> SequenceSet:
     from .rscpc import RsCpcParams, rs_cpc
-    return rs_cpc(RsCpcParams(int(cfg["n"]), int(cfg["p"]), int(cfg["k"]), cfg.get("alpha")))
+    return rs_cpc(RsCpcParams(cfg["n"], cfg["p"], cfg["k"], cfg.get("alpha")))
 
 
 def _tdma(cfg: dict, base_dir: str) -> SequenceSet:
     from .rscpc import tdma_set
-    return tdma_set(int(cfg["G"]), int(cfg["delta"]))
+    return tdma_set(cfg["G"], cfg["delta"])
 
 
 def _product(cfg: dict, base_dir: str) -> SequenceSet:
@@ -58,14 +59,21 @@ def _product(cfg: dict, base_dir: str) -> SequenceSet:
 
 def _expanded(cfg: dict, base_dir: str) -> SequenceSet:
     from .crt import ExpandedSetSpec, expanded_set
-    base = sequences_from_config(cfg["base"], base_dir)
+    split = cfg.get("split_labels")
     return expanded_set(ExpandedSetSpec(
-        base_set=base, p=int(cfg["p"]), M=int(cfg["M"]),
-        split_labels=cfg.get("split_labels")))
+        sequences_from_config(cfg["base"], base_dir), cfg["p"], cfg["M"],
+        split and _labels(split, "construction 'expanded' key 'split_labels'")))
+
+
+def _labels(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of labels, got {value!r}")
+    return list(value)
 
 
 # keys every fragment may add
 COMMON_KEYS = ("select", "pad_slots")
+_INT_KEYS = ("p", "q", "n", "k", "alpha", "G", "delta", "M")  # checked before a builder runs
 
 # construction name -> (required keys, optional keys, builder(cfg, base_dir))
 CONSTRUCTIONS = {
@@ -81,8 +89,9 @@ CONSTRUCTIONS = {
 def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
     """Build or load a sequence set from a config fragment.
 
-    A missing required key, or a key a construction fragment does not
-    read, raises ValueError naming the construction and the key.
+    A missing required key, a key a construction fragment does not read,
+    a non-integer where an integer is read, or a label list that is not a
+    list raises ValueError naming the key.
     """
     from .sequences import SequenceSet
     if "file" in cfg:
@@ -95,22 +104,20 @@ def sequences_from_config(cfg: dict, base_dir: str = ".") -> SequenceSet:
             raise ValueError(f"unknown construction {kind!r}; expected one of "
                              + ", ".join(CONSTRUCTIONS))
         required, optional, build = CONSTRUCTIONS[kind]
-        missing = [key for key in required if cfg.get(key) is None]
-        if missing:
-            raise ValueError(f"construction {kind!r} is missing required key(s): "
-                             + ", ".join(repr(key) for key in missing))
+        _require_keys(cfg, required, f"construction {kind!r}")
         unread = [key for key in cfg
                   if key not in ("construction", *required, *optional, *COMMON_KEYS)]
         if unread:
             raise ValueError(f"construction {kind!r} does not read key(s): "
                              + ", ".join(repr(key) for key in unread))
-        s = build(cfg, base_dir)
+        s = build({**cfg, **{key: _config_int(cfg[key], f"construction {kind!r} key {key!r}")
+                             for key in _INT_KEYS if cfg.get(key) is not None}}, base_dir)
     else:
         raise ValueError("a sequence config needs a 'file', 'sequences' or "
                          "'construction' key")
     if cfg.get("select"):
-        s = s.select(list(cfg["select"]))
-    pad = int(cfg.get("pad_slots", 0))
+        s = s.select(_labels(cfg["select"], "'select'"))
+    pad = _config_int(cfg.get("pad_slots", 0), "'pad_slots'")
     if pad < 0:
         raise ValueError(f"'pad_slots' must be >= 0, got {pad}")
     if pad:

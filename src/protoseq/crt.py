@@ -168,13 +168,12 @@ def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
     if unknown:
         raise ValueError(f"split label(s) not in the base set: {unknown}")
     peak = _pair_peaks(base.sequences)
-    over = np.flatnonzero(peak > k - 1)
+    over = np.argwhere(np.triu(peak > k - 1, 1))  # pairs i < j, in row-major order
     if over.size:
-        first, second = np.triu_indices(len(base), 1)
-        pair = over[0]
+        i, j = over[0]
         raise ValueError(
-            f"base pair ({base.labels[first[pair]]}, {base.labels[second[pair]]}) "
-            f"has cross-correlation {peak[pair]} > k-1 = {k - 1}"
+            f"base pair ({base.labels[i]}, {base.labels[j]}) "
+            f"has cross-correlation {peak[i, j]} > k-1 = {k - 1}"
         )
 
     spacing = crt0_set(p, 2 * p - 1)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _EXPORTS
+from ._sizing import _config_int, _require_keys
 from .config import sequences_from_config
 from .hexalloc import HexCell, ReusePlan, cell_center, quantize_many
 from .sequences import SequenceSet
@@ -298,37 +299,31 @@ class Scenario:
 
     @classmethod
     def from_config(cls, cfg: dict, base_dir: str = ".") -> "Scenario":
-        missing = [key for key in _REQUIRED_KEYS if cfg.get(key) is None]
-        if missing:
-            raise ValueError("scenario config is missing required key(s): "
-                             + ", ".join(repr(key) for key in missing))
+        _require_keys(cfg, _REQUIRED_KEYS, "scenario config")
+        L, F, delta_c, M = (_config_int(cfg[key], f"scenario config {key!r}")
+                            for key in ("L", "F", "delta_c_slots", "M"))
+        tau, R, h = (float(cfg[key]) for key in ("tau_s", "R_m", "h_m"))
         seq = sequences_from_config(cfg["sequences"], base_dir)
         slot_sync = bool(cfg.get("slot_synchronized", False))
-        tau = float(cfg["tau_s"])
-        R = float(cfg["R_m"])
-        dp = 0 if slot_sync else delta_p(R, tau)
-        timing = TimingModel(tau, int(cfg["L"]), int(cfg["F"]),
-                             int(cfg["delta_c_slots"]), dp)
-        plan = None
-        if "plan" in cfg and cfg["plan"] is not None:
-            p = cfg["plan"]
-            if p == "auto":
-                plan = ReusePlan.from_geometry(float(cfg["h_m"]), R,
-                                               labels=list(seq.labels))
-            elif isinstance(p, dict) and "file" in p:
-                plan = ReusePlan.load(os.path.join(base_dir, p["file"]))
-            else:
-                plan = ReusePlan.from_json(p)
+        timing = TimingModel(tau, L, F, delta_c, 0 if slot_sync else delta_p(R, tau))
+        plan, p = None, cfg.get("plan")
+        if p == "auto":
+            plan = ReusePlan.from_geometry(h, R, labels=list(seq.labels))
+        elif isinstance(p, dict) and "file" in p:
+            plan = ReusePlan.load(os.path.join(base_dir, p["file"]))
+        elif p is not None:
+            plan = ReusePlan.from_json(p)
         users_cfg = cfg["users"]
         if isinstance(users_cfg, dict):
-            users = _random_users(users_cfg, float(cfg["h_m"]), seq)
+            users = _random_users(users_cfg, h, seq)
         else:
-            users = [User(str(u["id"]), float(u["x"]), float(u["y"]),
-                          u.get("label"), int(u.get("shift", 0)),
-                          (float(u["offset_s"]) if u.get("offset_s") is not None
-                           else None)) for u in users_cfg]
-        return cls(timing, R, float(cfg["h_m"]), int(cfg["M"]), users, seq,
-                   plan, slot_sync)
+            users = []
+            for i, u in enumerate(users_cfg):
+                _require_keys(u, ("id", "x", "y"), f"user entry {i}")
+                users.append(User(str(u["id"]), float(u["x"]), float(u["y"]), u.get("label"),
+                                  _config_int(u.get("shift", 0), f"user entry {i} 'shift'"),
+                                  None if u.get("offset_s") is None else float(u["offset_s"])))
+        return cls(timing, R, h, M, users, seq, plan, slot_sync)
 
     @classmethod
     def load(cls, path: str) -> "Scenario":
@@ -392,27 +387,23 @@ def _within(dx: np.ndarray, dy: np.ndarray, r: float) -> np.ndarray:
 
 def _random_users(spec: dict, h: float, seq: SequenceSet) -> list[User]:
     """Users at distinct hex-cell centers inside a rectangle, seeded."""
-    missing = [key for key in ("random_users", "area") if spec.get(key) is None]
-    if missing:
-        raise ValueError("users spec is missing required key(s): "
-                         + ", ".join(repr(key) for key in missing))
-    count = spec["random_users"]
-    if not ((isinstance(count, int) and not isinstance(count, bool))
-            or (isinstance(count, float) and count.is_integer())) or count < 0:
-        raise ValueError(f"users spec 'random_users' must be a non-negative "
-                         f"integer, got {count!r}")
-    count = int(count)
+    _require_keys(spec, ("random_users", "area"), "users spec")
+    count = _config_int(spec["random_users"], "users spec 'random_users'", non_negative=True)
+    seed = spec.get("seed")
+    if seed is not None:
+        seed = _config_int(seed, "users spec 'seed'", non_negative=True)
     area = spec["area"]
     try:
         xmin, ymin, xmax, ymax = (float(v) for v in area)
     except (TypeError, ValueError):
         xmin = ymin = xmax = ymax = math.nan
-    if not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
+    # a string is read letter by letter, so it is refused whole
+    if isinstance(area, str) or not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
         raise ValueError(f"users spec 'area' must be four numbers [xmin, ymin, "
                          f"xmax, ymax], got {area!r}")
     if xmin > xmax or ymin > ymax:
         raise ValueError(f"users spec 'area' {area!r} has a min above its max")
-    rng = np.random.default_rng(spec.get("seed"))
+    rng = np.random.default_rng(seed)
     # cover the area generously, then keep centers inside, in (m, n) order
     d = math.sqrt(3) * h
     m_lo, m_hi = int(xmin / d) - 3, int(xmax / d) + 3

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _EXPORTS
 # defined where importing them loads no numpy; re-exported here
-from ._sizing import _is_prime, json_text  # noqa: F401
+from ._sizing import _is_prime, _require_keys, json_text  # noqa: F401
 
 __all__ = list(_EXPORTS["sequences"])
 
@@ -136,15 +136,13 @@ def pairwise_xcorr_peaks(seqs: Sequence[BinarySequence]) -> tuple[np.ndarray, ..
 
 
 def _pair_peaks(seqs: Sequence[BinarySequence]) -> np.ndarray:
-    """The peak column of pairwise_xcorr_peaks, without locating the shifts."""
+    """The peaks of pairwise_xcorr_peaks, without locating the shifts, as a
+    symmetric k × k matrix with a zero diagonal."""
     k = len(seqs)
-    peak = np.zeros(k * (k - 1) // 2, dtype=np.int64)
-    at = 0
-    for prof in _profile_rows(seqs):
-        m = prof.shape[1]
-        peak[at:at + m] = prof.max(axis=0)
-        at += m
-    return peak
+    peak = np.zeros((k, k), dtype=np.int64)
+    for i, prof in enumerate(_profile_rows(seqs)):
+        peak[i, i + 1:] = prof.max(axis=0)
+    return peak + peak.T
 
 
 def _profile_rows(seqs: Sequence[BinarySequence]) -> Iterator[np.ndarray]:
@@ -200,9 +198,9 @@ def cyclic_min_distance(seqs: Sequence[BinarySequence]) -> int:
     """
     if len(seqs) < 2:
         raise ValueError("need at least two sequences")
-    i, j = np.triu_indices(len(seqs), 1)
     weight = np.asarray([x.weight for x in seqs])
-    return int((weight[i] + weight[j] - 2 * _pair_peaks(seqs)).min())
+    dist = weight[:, None] + weight - 2 * _pair_peaks(seqs)
+    return int(dist[~np.eye(len(seqs), dtype=bool)].min())
 
 
 def cyclic_order(x: BinarySequence) -> int:
@@ -316,11 +314,10 @@ class SequenceSet:
             items, meta = obj["sequences"], dict(obj.get("meta", {}))
         seqs, labels = [], []
         for i, entry in enumerate(items):
+            if isinstance(entry, Mapping) and "bits" not in entry:
+                _require_keys(entry, ("period", "ones"), f"sequence entry {i}")
             seqs.append(BinarySequence.from_json(entry))
-            if isinstance(entry, Mapping) and "label" in entry:
-                labels.append(str(entry["label"]))
-            else:
-                labels.append(str(i))
+            labels.append(str(entry.get("label", i) if isinstance(entry, Mapping) else i))
         return cls(tuple(seqs), tuple(labels), meta)
 
     def save(self, path: str) -> None:

@@ -406,9 +406,7 @@ def _peaks_certify_ui(s: SequenceSet) -> bool:
     others keeps a conflict-free 1 under every assignment.  False proves
     nothing: the shift space must then be scanned.
     """
-    first, second = np.triu_indices(len(s), 1)
-    peak = _pair_peaks(s.sequences)
-    covered = np.bincount(first, peak, len(s)) + np.bincount(second, peak, len(s))
+    covered = _pair_peaks(s.sequences).sum(axis=1)
     return bool((np.array([x.weight for x in s.sequences]) > covered).all())
 
 
@@ -463,12 +461,17 @@ def is_ui(s: SequenceSet, mode: str = "exhaustive", samples: int = 100_000,
                         {**stats, "min_conflict_free_count": least})
 
 
+def _meta_default(s: SequenceSet, value, key: str, argument: str):
+    """An audit's `argument` as given, or s.meta[key] when it is None."""
+    if value is None and (value := s.meta.get(key)) is None:
+        raise ValueError(f"{argument} required (no {key} in meta)")
+    return value
+
+
 def _protected_indices(s: SequenceSet, protected_labels) -> list[int]:
     if protected_labels is None:
-        labels = s.meta.get("open_labels")
-        if labels is None:
-            raise ValueError("protected_labels required (no open_labels in meta)")
-        protected_labels = [l for l in labels if l in s.labels]
+        protected_labels = [l for l in _meta_default(s, None, "open_labels", "protected_labels")
+                            if l in s.labels]
     unknown = [l for l in protected_labels if l not in s.labels]
     if unknown:
         raise ValueError("protected label(s) not in the set: "
@@ -488,10 +491,7 @@ def min_conflict_free_count(s: SequenceSet, protected_labels=None,
     Verdict compares the minimum against `threshold` (default: the family's
     recorded floor in meta["cf_floor"]).
     """
-    if threshold is None:
-        threshold = s.meta.get("cf_floor")
-    if threshold is None:
-        raise ValueError("threshold required (no cf_floor in meta)")
+    threshold = _meta_default(s, threshold, "cf_floor", "threshold")
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     idx = _protected_indices(s, protected_labels)
@@ -517,10 +517,7 @@ def max_conflict_free_gap(s: SequenceSet, protected_labels=None,
 
     Verdict compares against `bound` (default meta["cf_gap_bound"]).
     """
-    if bound is None:
-        bound = s.meta.get("cf_gap_bound")
-    if bound is None:
-        raise ValueError("bound required (no cf_gap_bound in meta)")
+    bound = _meta_default(s, bound, "cf_gap_bound", "bound")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     idx = _protected_indices(s, protected_labels)
@@ -557,10 +554,7 @@ def window_audit(s: SequenceSet, window: int | None = None, mode: str = "exhaust
     pins the first shift; random mode samples seeded assignments.
     """
     if window is None:
-        p = s.meta.get("p")
-        if p is None:
-            raise ValueError("window required (no p in meta)")
-        window = 2 * int(p)
+        window = 2 * int(_meta_default(s, None, "p", "window"))
     _check_window(window, s.period)
     rot = _rotations(s)
     ce, longest, scanned = _scan(
@@ -586,12 +580,11 @@ def xcorr_bound_audit(s: SequenceSet, bound: int) -> VerifyReport:
     worst = int(peak.max(initial=0))
     ce = None
     if worst > bound:
-        pair = int(np.argmax(peak))
-        first, second = np.triu_indices(len(s), 1)
-        i, j = first[pair], second[pair]
+        # symmetric, diagonal 0 < worst: the first maximum has i < j
+        i, j = divmod(int(np.argmax(peak)), len(s))
         shift = xcorr_profile(s.sequences[i], s.sequences[j]).argmax()
         ce = {"pair": [s.labels[i], s.labels[j]], "shift": int(shift), "value": worst}
-    return VerifyReport("xcorr_bound", "exhaustive", peak.size * s.period, None,
+    return VerifyReport("xcorr_bound", "exhaustive", math.comb(len(s), 2) * s.period, None,
                         "holds" if worst <= bound else "violated", ce,
                         {"max_xcorr": worst, "bound": bound})
 
@@ -602,10 +595,7 @@ def separation_audit(s: SequenceSet, bound: int | None = None) -> VerifyReport:
     Default bound is meta["p"] for the families that promise it.
     """
     if bound is None:
-        p = s.meta.get("p")
-        if p is None:
-            raise ValueError("bound required (no p in meta)")
-        bound = int(p)
+        bound = int(_meta_default(s, None, "p", "bound"))
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     for label, seq in s:

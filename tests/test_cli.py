@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -143,6 +144,97 @@ class TestBadLabelsAndPads:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+class TestMalformedConfigValues:
+    @pytest.mark.parametrize("cfg, message", [
+        ({"construction": "crt0", "p": 3.5, "q": 5},
+         "construction 'crt0' key 'p' must be an integer, got 3.5"),
+        ({"construction": "crt0", "p": True, "q": 5},
+         "construction 'crt0' key 'p' must be an integer, got True"),
+        ({"construction": "crt", "p": 3, "q": 5.5},
+         "construction 'crt' key 'q' must be an integer, got 5.5"),
+        ({"construction": "rs_cpc", "n": 4.5, "p": 5, "k": 3},
+         "construction 'rs_cpc' key 'n' must be an integer, got 4.5"),
+        ({"construction": "rs_cpc", "n": 4, "p": 5, "k": 3.5},
+         "construction 'rs_cpc' key 'k' must be an integer, got 3.5"),
+        ({"construction": "rs_cpc", "n": 4, "p": 5, "k": 3, "alpha": "2"},
+         "construction 'rs_cpc' key 'alpha' must be an integer, got '2'"),
+        ({"construction": "tdma", "G": 2.5, "delta": 0},
+         "construction 'tdma' key 'G' must be an integer, got 2.5"),
+        ({"construction": "tdma", "G": 2, "delta": 0.5},
+         "construction 'tdma' key 'delta' must be an integer, got 0.5"),
+        ({"construction": "expanded", "base": {"file": "BASE"}, "p": 2, "M": 2.5},
+         "construction 'expanded' key 'M' must be an integer, got 2.5"),
+        ({"construction": "crt0", "p": 3, "q": 5, "pad_slots": 3.9},
+         "'pad_slots' must be an integer, got 3.9"),
+        ({"construction": "crt0", "p": 3, "q": 5, "select": "g0"},
+         "'select' must be a list of labels, got 'g0'"),
+        ({"construction": "expanded", "base": {"file": "BASE"}, "p": 2, "M": 2,
+          "split_labels": "abc"},
+         "construction 'expanded' key 'split_labels' must be a list of labels, got 'abc'"),
+        ({"sequences": [{"period": 5, "ones": [0]}, {"period": 5, "label": "b"}]},
+         "sequence entry 1 is missing required key(s): 'ones'"),
+    ], ids=["float-p", "bool-p", "float-q", "float-n", "float-k", "string-alpha",
+            "float-G", "float-delta", "float-M", "float-pad", "string-select",
+            "string-split", "entry-without-ones"])
+    def test_set_config_value_is_named(self, cfg, message, tmp_path, capsys):
+        base = tmp_path / "b.json"
+        assert run("gen", "rs_cpc", "--n", "5", "--p", "11", "--k", "3",
+                   "--out", str(base)) == 0
+        capsys.readouterr()
+        text = json.dumps(cfg).replace('"BASE"', json.dumps(str(base)))
+        assert run("verify", "xcorr", "--bound", "9", "--config", text) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_whole_float_reads_as_its_integer(self, capsys):
+        # 2.0 is the integer 2, as random_users has always read it
+        outs = []
+        for alpha in ("2", "2.0"):
+            cfg = '{"construction":"rs_cpc","n":4,"p":5,"k":3,"alpha":%s}' % alpha
+            assert run("verify", "ui", "--config", cfg) == 1
+            outs.append(json.loads(capsys.readouterr().out))
+        assert outs[0]["counterexample"] == outs[1]["counterexample"]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"L": 2.5}, "scenario config 'L' must be an integer, got 2.5"),
+        ({"F": 3.5}, "scenario config 'F' must be an integer, got 3.5"),
+        ({"delta_c_slots": 0.5}, "scenario config 'delta_c_slots' must be an integer, got 0.5"),
+        ({"M": 2.5}, "scenario config 'M' must be an integer, got 2.5"),
+        ({"users": [{"id": "a", "x": 0, "y": 0, "label": "t0", "shift": 1.5}]},
+         "user entry 0 'shift' must be an integer, got 1.5"),
+        ({"users": [{"id": "a", "x": 0, "y": 0, "label": "t0"}, {"id": "b", "y": 0}]},
+         "user entry 1 is missing required key(s): 'x'"),
+        ({"plan": {"h": 1.0, "R": 10.0, "G": 1.5, "b1": 1, "b2": 0}},
+         "plan 'G' must be an integer, got 1.5"),
+        ({"plan": {"h": 1.0, "R": 10.0, "G": 1, "b1": 1.5, "b2": 0}},
+         "plan 'b1' must be an integer, got 1.5"),
+        ({"plan": {"h": 1.0, "R": 10.0, "G": 1, "b1": 1, "b2": 0.5}},
+         "plan 'b2' must be an integer, got 0.5"),
+        ({"L": 8, "sequences": {"construction": "tdma", "G": 2, "delta": 0,
+                                "pad_slots": 3.9}},
+         "'pad_slots' must be an integer, got 3.9"),
+        ({"users": {"random_users": 2, "area": [0, 0, 9, 9], "seed": 7.5}},
+         "users spec 'seed' must be a non-negative integer, got 7.5"),
+        ({"users": {"random_users": 2, "area": [0, 0, 9, 9], "seed": -1}},
+         "users spec 'seed' must be a non-negative integer, got -1"),
+        ({"users": {"random_users": 1, "area": "0000"}},
+         "users spec 'area' must be four numbers [xmin, ymin, xmax, ymax], got '0000'"),
+    ], ids=["float-L", "float-F", "float-delta_c", "float-M", "float-shift",
+            "user-without-x", "float-plan-G", "float-plan-b1", "float-plan-b2",
+            "float-pad", "float-seed", "negative-seed", "string-area"])
+    def test_scenario_value_is_named(self, change, message, tmp_path, capsys):
+        cfg = {
+            "tau_s": 1e-3, "L": 2, "F": 3, "delta_c_slots": 0, "R_m": 10.0,
+            "h_m": 1.0, "M": 2, "slot_synchronized": True,
+            "sequences": {"construction": "tdma", "G": 2, "delta": 0},
+            "users": [{"id": "a", "x": 0, "y": 0, "label": "t0"}],
+            **change,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert run("sim", "--config", str(path), "--seed", "1") == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestVerify:
     def test_ui_holds(self, tmp_path):
         f = tmp_path / "s.json"
@@ -257,8 +349,8 @@ class TestVerify:
         ["verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}'],
     ])
     def test_output_bytes_ignore_cpu_count(self, argv, tmp_path, monkeypatch):
-        # --jobs defaults to the CPU count only where verify ui runs; the
-        # count must not reach the data file through the config digest
+        # no command reads the CPU count (verify ui without --jobs runs in
+        # one process), so it cannot reach the data file
         outs = []
         for cpus in (1, 2):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -266,6 +358,17 @@ class TestVerify:
             assert run(*argv, "--out", str(out)) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_uncertified_scan_starts_no_pool_without_jobs(self, monkeypatch, capsys):
+        # the peak certificate fails for these five members, so the shift
+        # space is scanned; without --jobs that takes one process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = '{"construction":"rs_cpc","n":5,"p":11,"k":3,"select":["0","1","2","3","4"]}'
+        assert run("verify", "ui", "--config", cfg) == 1
+        assert capsys.readouterr().err == "ui: violated\n"
 
     def test_missing_source(self):
         assert run("verify", "ui") == 2

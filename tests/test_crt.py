@@ -217,6 +217,16 @@ class TestExpandedSet:
             expanded_set(ExpandedSetSpec(base_set=base, p=3, M=3))
         assert str(err.value) == "base pair (b, d) has cross-correlation 3 > k-1 = 2"
 
+    def test_base_audit_tie_across_rows_names_the_earlier_row(self):
+        # (a, d) and (b, c) both reach 3 > k-1; (a, d) comes first in
+        # row-major order, (b, c) first in column-major order
+        ones = {"a": (0, 1, 2), "b": (0, 2, 4), "c": (0, 2, 4), "d": (0, 1, 2)}
+        base = SequenceSet(tuple(BinarySequence(11, o) for o in ones.values()),
+                           tuple(ones), {"n": 7, "k": 3})
+        with pytest.raises(ValueError) as err:
+            expanded_set(ExpandedSetSpec(base_set=base, p=3, M=3))
+        assert str(err.value) == "base pair (a, d) has cross-correlation 3 > k-1 = 2"
+
     def test_guard_and_open_tiers_combine_base_and_split_supports(self, base):
         es = expanded_set(ExpandedSetSpec(base_set=base, p=3, M=3))
         open_lab = es.meta["open_labels"][0]

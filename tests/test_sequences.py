@@ -139,6 +139,16 @@ def families(draw):
         st.integers(min_value=0, max_value=n - 1), max_size=n))))) for _ in range(k)]
 
 
+def assert_peak_matrix(seqs):
+    """_pair_peaks: symmetric, zero diagonal, and its upper triangle in
+    row-major order is pairwise_xcorr_peaks's peak column."""
+    peak = _pair_peaks(seqs)
+    k = len(seqs)
+    assert peak.dtype == np.int64 and peak.shape == (k, k)
+    assert peak[np.triu_indices(k, 1)].tolist() == pairwise_xcorr_peaks(seqs)[2].tolist()
+    assert (peak == peak.T).all() and not peak.diagonal().any()
+
+
 def assert_matches_profiles(seqs):
     """pairwise_xcorr_peaks against xcorr_profile, pair by pair."""
     out = pairwise_xcorr_peaks(seqs)
@@ -207,13 +217,10 @@ class TestPairwiseXcorrPeaks:
     @given(families())
     @settings(max_examples=100, deadline=None)
     def test_pair_peaks_is_the_peak_column(self, seqs):
-        peak = _pair_peaks(seqs)
-        assert peak.dtype == np.int64
-        assert peak.tolist() == pairwise_xcorr_peaks(seqs)[2].tolist()
+        assert_peak_matrix(seqs)
 
     def test_pair_peaks_on_padded_rs_cpc(self):
-        seqs = pad_set(rs_cpc(RsCpcParams(5, 11, 3)), 3).sequences
-        assert _pair_peaks(seqs).tolist() == pairwise_xcorr_peaks(seqs)[2].tolist()
+        assert_peak_matrix(pad_set(rs_cpc(RsCpcParams(5, 11, 3)), 3).sequences)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     def test_dtype_and_shape(self, k):

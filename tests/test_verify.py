@@ -527,6 +527,15 @@ class TestXcorrBoundAudit:
                                     "shift": t, "value": v}
         assert r.counterexample == {"pair": ["a", "b"], "shift": 4, "value": 4}
 
+    def test_tie_across_rows_reports_the_earlier_row(self):
+        # (a, d) and (b, c) both peak at 3; (a, d) comes first in row-major
+        # order, (b, c) first in column-major order
+        ones = {"a": (0, 1, 2), "b": (0, 2, 4), "c": (0, 2, 4), "d": (0, 1, 2)}
+        s = SequenceSet(tuple(BinarySequence(11, o) for o in ones.values()), tuple(ones))
+        r = xcorr_bound_audit(s, 2)
+        assert r.counterexample == {"pair": ["a", "d"], "shift": 0, "value": 3}
+        assert r.samples == 6 * 11
+
     def test_negative_bound_is_rejected(self):
         solo = SequenceSet((BinarySequence(5, (2,)),), ("solo",))
         with pytest.raises(ValueError, match="bound must be >= 0, got -1"):
@@ -544,6 +553,26 @@ class TestLimitsThatDecideWithoutAScan:
             kw.update(protected_labels=["g0"], samples=10, seed=1)
         with pytest.raises(ValueError, match=message):
             audit(crt0_set(3, 5), **kw)
+
+
+class TestMetaDefaults:
+    # an audit argument left as None falls back to a meta key; a family
+    # without that key names both
+    @pytest.mark.parametrize("audit, kw, message", [
+        (min_conflict_free_count, dict(threshold=1),
+         "protected_labels required (no open_labels in meta)"),
+        (min_conflict_free_count, dict(protected_labels=["a"]),
+         "threshold required (no cf_floor in meta)"),
+        (max_conflict_free_gap, dict(protected_labels=["a"]),
+         "bound required (no cf_gap_bound in meta)"),
+        (window_audit, {}, "window required (no p in meta)"),
+        (separation_audit, {}, "bound required (no p in meta)"),
+    ])
+    def test_missing_meta_key_is_named(self, audit, kw, message):
+        s = SequenceSet((BinarySequence(6, (0, 3)), BinarySequence(6, (1, 4))), ("a", "b"))
+        with pytest.raises(ValueError) as err:
+            audit(s, **kw)
+        assert str(err.value) == message
 
 
 class TestSeparationAudit:
