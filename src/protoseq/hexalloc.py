@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _EXPORTS
-from ._sizing import _config_int, json_text
+from ._sizing import _config_int, _require_keys, json_text
 
 # numpy is imported only by the array paths (quantize_many, allocate_many
 # and a labelled plan), so a plan's geometry loads none
@@ -245,6 +245,7 @@ class ReusePlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ReusePlan":
+        _require_keys(obj, ("h", "R", "G", "b1", "b2"), "plan")
         G, b1, b2 = (_config_int(obj[key], f"plan {key!r}") for key in ("G", "b1", "b2"))
         return cls(float(obj["h"]), float(obj["R"]), G, b1, b2, obj.get("assignment"))
 

@@ -22,6 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -490,6 +491,50 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
             + np.repeat(starts - ends + lens, lens))
 
 
+def _receiver_order(rx: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The permutation that sorts each receiver's rows by start, ties kept
+    in row order; `rx` is non-decreasing and rows stay within their receiver.
+
+    One integer sort orders the rows by (receiver, floor(start), row): its
+    key packs the receiver and floor(start), each less the block's least,
+    above the row index.  floor is monotone and equal starts share a floor,
+    so only runs of rows with one receiver and one floor can still be out
+    of start order; one lexsort over just those rows puts each run in
+    (start, row) order.  A block whose three fields need more than 63 bits
+    raises ValueError rather than let the key wrap.
+    """
+    rows = start.size
+    if rows == 0:
+        return np.zeros(0, dtype=np.int64)
+    floor = np.floor(start).astype(np.int64)
+    floor -= floor.min()
+    row_bits = (rows - 1).bit_length()
+    floor_bits = int(floor.max()).bit_length()
+    rx_bits = int(rx[-1] - rx[0]).bit_length()
+    if rx_bits + floor_bits + row_bits > 63:
+        raise ValueError(f"a block of {rows} rows over {int(rx[-1] - rx[0]) + 1} receivers "
+                         f"and {int(floor.max()) + 1} slots needs a sort key of "
+                         f"{rx_bits + floor_bits + row_bits} bits; at most 63 fit")
+    key = rx.astype(np.int64)
+    key -= key[0]
+    key <<= floor_bits
+    key |= floor
+    key <<= row_bits
+    key |= np.arange(rows)
+    key.sort()
+    order = key & ((1 << row_bits) - 1)
+    key >>= row_bits
+    tie = key[1:] == key[:-1]
+    shared = np.zeros(rows, dtype=bool)
+    shared[1:] = tie
+    shared[:-1] |= tie
+    at = np.flatnonzero(shared)
+    if at.size:
+        run = order[at]
+        order[at] = run[np.lexsort((start[run], key[at]))]
+    return order
+
+
 def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     """Simulate one superframe; deterministic for a given scenario and seed.
 
@@ -506,22 +551,18 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     t = np.where(np.isnan(sc.offsets_s), draws, sc.offsets_s / tm.tau_s)
     label_of = sc.label_index
 
-    # each user's transmit slots over the superframe, ascending, user-major:
-    # one period of its shifted ones, sorted by one key sort over all users,
-    # then repeated frame by frame.  The log would be the same unsorted, but
-    # sorted slots hand each receiver's stable argsort below pre-sorted runs,
-    # one per transmitter, which makes `run_superframe` about 10 % faster
+    # each user's transmit slots over the superframe, user-major: one period
+    # of its shifted ones, repeated frame by frame.  Their order within a
+    # user does not matter, since no two of them arrive at one time and the
+    # rows are sorted by arrival below
     members = sc.sequence_set.sequences
     weight = np.array([len(member.ones) for member in members], dtype=np.int64)
     ones = np.array([o for member in members for o in member.ones], dtype=np.int64)
     w = weight[label_of]
     owner = np.repeat(np.arange(k, dtype=np.int64), w)
-    key = (ones[_ranges((np.cumsum(weight) - weight)[label_of], w)] + sc.shifts[owner]) % n
-    key += owner * n
-    key.sort()
-    key -= owner * n
+    shifted = (ones[_ranges((np.cumsum(weight) - weight)[label_of], w)] + sc.shifts[owner]) % n
     per_frame = np.repeat(w, tm.frames)
-    all_slots = key[_ranges(np.repeat(np.cumsum(w) - w, tm.frames), per_frame)]
+    all_slots = shifted[_ranges(np.repeat(np.cumsum(w) - w, tm.frames), per_frame)]
     all_slots += np.repeat(np.tile(np.arange(0, total, n), k), per_frame)
     lens = w * tm.frames
 
@@ -533,6 +574,7 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     pattern[np.repeat(np.arange(len(members)), weight), ones] = True
     pattern[:, n] = pattern[:, 0]
     pattern = pattern.ravel()
+    row_of = label_of * (n + 1)       # each user's row of `pattern`
 
     # one row per (receiver b, transmitter a, slot of a), b-major.  The
     # columns are allocated once; the rows are built and classified in
@@ -556,7 +598,6 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
     while i < edge.size - 1:
         j = max(i + 1, int(np.searchsorted(row_at, row_at[i] + _BLOCK_ROWS, "right")) - 1)
         pairs, out = slice(edge[i], edge[j]), slice(row_at[i], row_at[j])
-        bounds = (row_at[i:j + 1] - row_at[i]).tolist()
         i = j
 
         # the block's rows are written straight into its slice of the columns
@@ -569,30 +610,43 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
         b_start += b_slot
         b_start += np.repeat(sc.hearing_delay_slots[pairs], reps)
 
-        # sort each receiver's rows by arrival; a stable sort keeps ties in
-        # (a, slot) order.  Rows stay within their receiver, so rx needs no
-        # reordering
-        order = np.concatenate([lo + np.argsort(b_start[lo:hi], kind="stable")
-                                for lo, hi in zip(bounds[:-1], bounds[1:])])
-        b_tx[:], b_slot[:], b_start[:] = b_tx[order], b_slot[order], b_start[order]
+        # sort each receiver's rows by arrival, ties kept in (a, slot) order.
+        # Rows stay within their receiver, so rx needs no reordering
+        order = _receiver_order(b_rx, b_start)
+        for column in (b_tx, b_slot, b_start):
+            column[:] = column[order]
         del order
 
-        # sorted by start within a receiver, so the latest earlier end is the
-        # previous row's end, one slot after its start; any positive-measure
-        # overlap destroys both
+        # cause bit 0: sorted by start within a receiver, so the latest
+        # earlier end is the previous row's end, one slot after its start;
+        # any positive-measure overlap destroys both
+        b_cause = cause[out]
         overlap = (b_rx[1:] == b_rx[:-1]) & (b_start[1:] < b_start[:-1] + 1.0)
-        coll = np.zeros(b_start.size, dtype=bool)
-        coll[1:] = overlap
-        coll[:-1] |= overlap
+        b_cause[:1] = 0
+        b_cause[1:] = overlap
+        b_cause[:-1] |= overlap
 
+        # cause bit 1: own slot k0 = floor(rel) counts when 0 <= k0 < total,
+        # and own slot k0 + 1 when rel is not whole and 0 <= k0 + 1 < total.
+        # One unsigned compare tests each range: a negative k0 wraps past total
         rel = b_start - t[b_rx]
-        k0 = np.floor(rel).astype(np.int64)
+        k0 = np.floor(rel)
+        inexact = rel != k0
+        del rel
+        k0 = k0.astype(np.int64)
         at = k0 - sc.shifts[b_rx]
         at %= n
-        at += label_of[b_rx] * (n + 1)
-        lost = pattern[at] & (k0 >= 0) & (k0 < total)
-        lost |= pattern[at + 1] & (rel != k0) & (k0 >= -1) & (k0 < total - 1)
-        cause[out] = coll.view(np.uint8) | (lost.view(np.uint8) << 1)
+        at += row_of[b_rx]
+        lost = pattern[at]
+        lost &= k0.view(np.uint64) < total
+        at += 1
+        k0 += 1
+        inexact &= pattern[at]
+        inexact &= k0.view(np.uint64) < total
+        lost |= inexact
+        b_cause |= lost.view(np.uint8) << 1
+        # nothing of this block outlives it
+        del overlap, k0, at, lost, inexact
 
     return ReceptionLog(sc.ids, t, tm.tau_s, tx, rx, slot, start, cause)
 
@@ -600,12 +654,20 @@ def run_superframe(sc: Scenario, seed: int | None = None) -> ReceptionLog:
 # ---------------------------------------------------------------------------
 # audits
 
-@dataclass
+@dataclass(eq=False)
 class BlockFreeReport:
+    """The block-free verdict, its violations and stats, and `count`: the
+    contention-free receptions of each hearing pair in each normal frame,
+    pair-major, the pairs being `pairs` (receiver and transmitter index
+    arrays).  `counts`, one dict per entry of `count`, is built the first
+    time it is read; callers that read only `holds` and `stats` skip it."""
+
     verdict: str
     violations: list[dict]
-    counts: list[dict]
     stats: dict
+    user_ids: tuple[str, ...]
+    pairs: tuple[np.ndarray, np.ndarray]
+    count: np.ndarray
 
     @property
     def holds(self) -> bool:
@@ -614,6 +676,15 @@ class BlockFreeReport:
     @property
     def exit_code(self) -> int:
         return 0 if self.holds else 1
+
+    @cached_property
+    def counts(self) -> list[dict]:
+        ids, (rx, tx) = self.user_ids, self.pairs
+        normal = self.stats["normal_frames"]
+        return [{"receiver": ids[b], "transmitter": ids[a], "frame": f, "count": c}
+                for b, a, f, c in zip(np.repeat(rx, len(normal)).tolist(),
+                                      np.repeat(tx, len(normal)).tolist(),
+                                      normal * rx.size, self.count.tolist())]
 
     def to_json(self) -> dict:
         return {"property": "block_free", "verdict": self.verdict,
@@ -664,17 +735,16 @@ def check_block_free(log: ReceptionLog, sc: Scenario) -> BlockFreeReport:
             count[first:first + part.size] += part
 
     ids = log.user_ids
-    counts = [{"receiver": ids[b], "transmitter": ids[a], "frame": f, "count": c}
-              for b, a, f, c in zip(np.repeat(rx, nf).tolist(), np.repeat(tx, nf).tolist(),
-                                    list(normal) * rx.size, count.tolist())]
-    violations = [{key: counts[z][key] for key in ("receiver", "transmitter", "frame")}
-                  for z in np.flatnonzero(count == 0).tolist()]
+    pair, frame = np.divmod(np.flatnonzero(count == 0), nf)
+    violations = [{"receiver": ids[b], "transmitter": ids[a], "frame": f}
+                  for b, a, f in zip(rx[pair].tolist(), tx[pair].tolist(),
+                                     (frame + normal.start).tolist())]
     verdict = "holds" if not violations else "violated"
     stats = {"users": k, "neighbor_pairs": int(rx.size),
              "normal_frames": list(normal),
              "min_count": int(count.min()) if count.size else None,
              "receptions": len(log), "contention_free": cf}
-    return BlockFreeReport(verdict, violations, counts, stats)
+    return BlockFreeReport(verdict, violations, stats, ids, (rx, tx), count)
 
 
 def frame_offset_audit(log: ReceptionLog, sc: Scenario) -> bool:

@@ -20,8 +20,9 @@ import numpy as np
 from . import _EXPORTS
 # the searches and the comparison table are integer-only and live where
 # importing them loads no numpy; this module re-exports them
-from ._sizing import (ParamSearchError, SelectedParams, _is_prime, baseline_compare,
-                      length_bounds, select_params_prop1, select_params_prop2)
+from ._sizing import (ParamSearchError, SelectedParams, _config_int, _is_prime,
+                      baseline_compare, length_bounds, select_params_prop1,
+                      select_params_prop2)
 from .sequences import BinarySequence, SequenceSet, crt_unmap
 
 __all__ = list(_EXPORTS["rscpc"])
@@ -67,6 +68,11 @@ class RsCpcParams:
     alpha: int | None = None
 
     def __post_init__(self) -> None:
+        # a fractional alpha would never return to 1 in `_order`
+        for key in ("n", "p", "k", "alpha"):
+            value = getattr(self, key)
+            if value is not None:
+                object.__setattr__(self, key, _config_int(value, f"RsCpcParams {key}"))
         if not _is_prime(self.p):
             raise ValueError(f"field size must be prime, got {self.p}")
         if not (3 <= self.k < self.n <= self.p):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _EXPORTS
 # defined where importing them loads no numpy; re-exported here
-from ._sizing import _is_prime, _require_keys, json_text  # noqa: F401
+from ._sizing import _config_int, _is_prime, _require_keys, json_text  # noqa: F401
 
 __all__ = list(_EXPORTS["sequences"])
 
@@ -32,13 +32,28 @@ class BinarySequence:
     ones: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        ones = tuple(map(int, self.ones))
-        if ones and (min(ones) < 0 or max(ones) >= self.period):
-            raise ValueError("ones positions must lie in [0, period)")
-        if not all(map(operator.lt, ones, ones[1:])):
+        period = _config_int(self.period, "period")
+        if period < 1:
+            raise ValueError(f"period must be >= 1, got {period}")
+        # a tuple, so that an iterator is read whole by both passes below
+        given = self.ones if isinstance(self.ones, tuple) else tuple(self.ones)
+        # plain ints need no reading; anything else is read as config
+        # integers are, so a whole float reads as its integer and a fraction
+        # or a bool is named
+        if set(map(type, given)) <= {int}:
+            ones = given
+        else:
+            ones = tuple(_config_int(o, "ones position") for o in given)
+        # increasing positions lie in range when their ends do; the range
+        # message comes first when both checks fail
+        increasing = all(map(operator.lt, ones, ones[1:]))
+        if ones:
+            lo, hi = (ones[0], ones[-1]) if increasing else (min(ones), max(ones))
+            if lo < 0 or hi >= period:
+                raise ValueError("ones positions must lie in [0, period)")
+        if not increasing:
             raise ValueError("ones must be strictly increasing and unique")
+        object.__setattr__(self, "period", period)
         object.__setattr__(self, "ones", ones)
 
     @classmethod
@@ -83,7 +98,7 @@ class BinarySequence:
             if "period" in obj and obj["period"] != seq.period:
                 raise ValueError("period does not match dense form length")
             return seq
-        return cls(int(obj["period"]), tuple(int(x) for x in obj["ones"]))
+        return cls(obj["period"], obj["ones"])
 
 
 def cyclic_shift(x: BinarySequence, t: int) -> BinarySequence:

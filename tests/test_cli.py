@@ -173,9 +173,13 @@ class TestMalformedConfigValues:
          "construction 'expanded' key 'split_labels' must be a list of labels, got 'abc'"),
         ({"sequences": [{"period": 5, "ones": [0]}, {"period": 5, "label": "b"}]},
          "sequence entry 1 is missing required key(s): 'ones'"),
+        ({"sequences": [{"period": 5.5, "ones": [0, 1.7]}, {"period": 5, "ones": [2]}]},
+         "period must be an integer, got 5.5"),
+        ({"sequences": [{"period": 5, "ones": [0, 1.7]}, {"period": 5, "ones": [2]}]},
+         "ones position must be an integer, got 1.7"),
     ], ids=["float-p", "bool-p", "float-q", "float-n", "float-k", "string-alpha",
             "float-G", "float-delta", "float-M", "float-pad", "string-select",
-            "string-split", "entry-without-ones"])
+            "string-split", "entry-without-ones", "float-period", "float-position"])
     def test_set_config_value_is_named(self, cfg, message, tmp_path, capsys):
         base = tmp_path / "b.json"
         assert run("gen", "rs_cpc", "--n", "5", "--p", "11", "--k", "3",
@@ -194,6 +198,17 @@ class TestMalformedConfigValues:
             outs.append(json.loads(capsys.readouterr().out))
         assert outs[0]["counterexample"] == outs[1]["counterexample"]
 
+    def test_whole_float_positions_read_as_integers(self, capsys):
+        outs = []
+        for period, ones in (("5", "[0, 1]"), ("5.0", "[0.0, 1.0]")):
+            cfg = ('{"sequences": [{"period": %s, "ones": %s}, {"period": 5, "ones": [2]}]}'
+                   % (period, ones))
+            assert run("verify", "xcorr", "--bound", "9", "--config", cfg) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["manifest"]            # it digests the config text
+            outs.append(report)
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("change, message", [
         ({"L": 2.5}, "scenario config 'L' must be an integer, got 2.5"),
         ({"F": 3.5}, "scenario config 'F' must be an integer, got 3.5"),
@@ -209,6 +224,8 @@ class TestMalformedConfigValues:
          "plan 'b1' must be an integer, got 1.5"),
         ({"plan": {"h": 1.0, "R": 10.0, "G": 1, "b1": 1, "b2": 0.5}},
          "plan 'b2' must be an integer, got 0.5"),
+        ({"plan": {"h": 1.0, "R": 10.0, "b1": 1, "b2": 0}},
+         "plan is missing required key(s): 'G'"),
         ({"L": 8, "sequences": {"construction": "tdma", "G": 2, "delta": 0,
                                 "pad_slots": 3.9}},
          "'pad_slots' must be an integer, got 3.9"),
@@ -220,7 +237,7 @@ class TestMalformedConfigValues:
          "users spec 'area' must be four numbers [xmin, ymin, xmax, ymax], got '0000'"),
     ], ids=["float-L", "float-F", "float-delta_c", "float-M", "float-shift",
             "user-without-x", "float-plan-G", "float-plan-b1", "float-plan-b2",
-            "float-pad", "float-seed", "negative-seed", "string-area"])
+            "plan-without-G", "float-pad", "float-seed", "negative-seed", "string-area"])
     def test_scenario_value_is_named(self, change, message, tmp_path, capsys):
         cfg = {
             "tau_s": 1e-3, "L": 2, "F": 3, "delta_c_slots": 0, "R_m": 10.0,

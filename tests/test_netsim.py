@@ -336,6 +336,30 @@ class TestBlockFreeAudit:
         assert obj["verdict"] == "holds"
         assert rep.exit_code == 0
 
+    def test_holds_and_stats_build_no_counts(self):
+        sc = two_user_scenario(tdma_set(2, 0), "t0", "t1", F=5)
+        rep = check_block_free(run_superframe(sc), sc)
+        assert rep.holds and rep.exit_code == 0 and rep.violations == []
+        assert rep.stats["neighbor_pairs"] == 2 and rep.stats["min_count"] == 1
+        assert "counts" not in vars(rep)
+        assert len(rep.counts) == 6 and "counts" in vars(rep)
+        assert rep.counts is rep.counts
+
+    @pytest.mark.parametrize("labels", [("t0", "t1"), ("t0", "t0")])
+    def test_counts_violations_and_json_match_the_oracle(self, labels):
+        # one label for both users: every reception collides, so every
+        # (pair, frame) is a violation
+        sc = two_user_scenario(tdma_set(2, 0), *labels, F=5)
+        log = run_superframe(sc)
+        counts, violations, min_count = block_free_oracle(log, sc)
+        rep = check_block_free(log, sc)
+        assert rep.violations == violations and bool(violations) == (labels[1] == "t0")
+        assert rep.counts == counts and rep.stats["min_count"] == min_count
+        assert rep.to_json() == {"property": "block_free",
+                                 "verdict": "violated" if violations else "holds",
+                                 "violations": violations, "counts": counts,
+                                 "stats": rep.stats}
+
     def test_padded_family_holds_across_seeds(self):
         s = pad_set(crt0_set(3, 5), 3)             # period 60 covers skew 3
         users = [User("a", 0, 0, "g0", 7), User("b", 200, 0, "g2", 3),
@@ -840,9 +864,10 @@ def small_scenarios(draw):
     dp = 0 if sync else delta_p(R_SMALL, tau)
     users = []
     for i, (x, y) in enumerate(pts):
+        # -1e-12 s, the least offset admitted, puts slot 0 just before 0
         offset = draw(st.one_of(
             st.none(), st.integers(0, 2 * dc).map(lambda v: v * 0.5 * tau),
-            st.floats(0.0, 1.0).map(lambda v: v * dc * tau)))
+            st.floats(0.0, 1.0).map(lambda v: v * dc * tau), st.just(-1e-12)))
         users.append(User(f"u{i}", x, y, draw(st.sampled_from(s.labels)),
                           draw(st.integers(0, s.period - 1)), offset))
     tm = TimingModel(tau, s.period, draw(st.integers(3, 5)), dc, dp)
@@ -1002,6 +1027,61 @@ class TestAgainstSlowOracles:
         assert rep.stats["neighbor_pairs"] == len(neighbor_pairs_oracle(sc))
 
 
+def receiver_order_oracle(rx, start):
+    """One stable argsort per receiver: the loop the block sort replaced."""
+    bounds = np.append(np.flatnonzero(np.diff(rx, prepend=-1)), rx.size).tolist()
+    return np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [lo + np.argsort(start[lo:hi], kind="stable")
+                             for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+# starts on a coarse grid tie exactly and share floors with different
+# fractions; -5e-5 is slot 0 of a clock 1e-12 s early at tau = 2e-8 s
+tie_prone_starts = st.one_of(st.integers(-4, 12).map(lambda v: v / 4),
+                             st.sampled_from([-5e-5, -1e-300, -0.0, 1 - 2 ** -52]),
+                             st.floats(-2.0, 1e6, allow_nan=False))
+
+
+@st.composite
+def receiver_blocks(draw):
+    """(rx, start): a block's receiver column, non-decreasing with gaps,
+    and arrival starts near some base."""
+    sizes = draw(st.lists(st.integers(1, 15), max_size=8))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(sizes), max_size=len(sizes)))
+    rx = np.repeat(draw(st.integers(0, 10 ** 6)) + np.cumsum(gaps, dtype=np.int64),
+                   sizes).astype(np.int32)
+    base = draw(st.sampled_from([0.0, 1e3, 2.0 ** 40]))
+    start = base + np.array(draw(st.lists(tie_prone_starts, min_size=rx.size,
+                                          max_size=rx.size)), dtype=np.float64)
+    return rx, start
+
+
+class TestReceiverOrder:
+    """The block sort gives each receiver's stable argsort by start."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(receiver_blocks())
+    def test_against_per_receiver_argsort(self, block):
+        rx, start = block
+        got = netsim._receiver_order(rx, start)
+        assert got.tolist() == receiver_order_oracle(rx, start).tolist()
+
+    def test_key_of_63_bits_sorts_and_64_raise(self):
+        # one bit each for the receiver and the row, and 61 or 62 for the floor
+        rx = np.array([0, 1], dtype=np.int32)
+        fits = np.array([2.0 ** 60, 0.0])
+        assert netsim._receiver_order(rx, fits).tolist() == [0, 1]
+        rx = np.array([0, 0], dtype=np.int32)
+        assert netsim._receiver_order(rx, fits).tolist() == [1, 0]
+        rx = np.array([0, 1], dtype=np.int32)
+        with pytest.raises(ValueError, match="sort key of 64 bits; at most 63 fit"):
+            netsim._receiver_order(rx, np.array([2.0 ** 61, 0.0]))
+
+    def test_empty_block(self):
+        got = netsim._receiver_order(np.zeros(0, dtype=np.int32), np.zeros(0))
+        assert got.size == 0
+
+
 def log_columns(log):
     """Each column of a log with its dtype, as bytes."""
     return [(c.dtype.str, c.tobytes()) for c in (log.tx, log.rx, log.slot, log.arrive_slots,
@@ -1056,6 +1136,35 @@ class TestReceiverBlocks:
         assert np.bincount(sc.hearing[0]).tolist() == [1, 1, 5, 1, 1, 1]
         for seed in range(3):
             self.check_against_oracles(sc, seed)
+
+    @pytest.mark.parametrize("offsets_s", [(0.0,) * 4, (-1e-12, 0.0, -1e-12, 1e-8)])
+    def test_exact_ties_and_starts_below_zero(self, offsets_s):
+        # slot-synchronised users with one label and shift arrive together:
+        # equal offsets tie exactly, and an offset of -1e-12 s starts slot 0
+        # just below 0 and shares floor -1 or 0 with starts of other fractions
+        s = crt0_set(3, 5)
+        users = [User(f"u{i}", x, y, "g0", 0 if i < 3 else 4, off)
+                 for i, ((x, y), off) in enumerate(zip([(0, 0), (3, 0), (0, 4), (3, 4)],
+                                                       offsets_s))]
+        sc = Scenario(TimingModel(2e-8, s.period, 3, 1, 0), R_SMALL, 1.0, 4, users, s,
+                      slot_synchronized=True)
+        log = run_superframe(sc)
+        starts = log.arrive_slots.tolist()
+        assert len(set(zip(log.rx.tolist(), starts))) < len(starts)
+        assert (min(starts) < 0) == (offsets_s[0] < 0)
+        self.check_against_oracles(sc, 0)
+
+    def test_shared_floors_with_different_fractions(self):
+        # propagation delays of 0.5 to 1.7 slots and offsets of a quarter slot
+        s = crt0_set(3, 5)
+        users = [User(f"u{i}", x, y, s.labels[i % 3], 3 * i, 0.25 * i * 2e-8)
+                 for i, (x, y) in enumerate([(0, 0), (3, 0), (0, 9), (6, 6), (9, 2)])]
+        sc = Scenario(TimingModel(2e-8, s.period, 3, 1, 2), R_SMALL, 1.0, 5, users, s)
+        log = run_superframe(sc)
+        floors = {(int(r), math.floor(a)) for r, a in zip(log.rx, log.arrive_slots)}
+        assert len(floors) < len(log)
+        assert len(set(zip(log.rx.tolist(), log.arrive_slots.tolist()))) == len(log)
+        self.check_against_oracles(sc, 0)
 
     def test_no_hearing_pair(self):
         s = crt0_set(3, 5)

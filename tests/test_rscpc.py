@@ -94,6 +94,21 @@ class TestRsCpcParams:
     def test_alpha_default(self):
         assert RsCpcParams(n=5, p=11, k=3).resolved_alpha() == 3
 
+    @pytest.mark.parametrize("field, value", [("alpha", 2.5), ("n", 4.5), ("p", 5.5),
+                                              ("k", 3.5), ("alpha", True)])
+    def test_non_integer_field_is_refused(self, field, value):
+        # a fractional alpha used to loop forever in _order; it must raise
+        # before any field is used
+        args = {"n": 4, "p": 5, "k": 3, "alpha": 2, field: value}
+        with pytest.raises(ValueError) as err:
+            RsCpcParams(**args)
+        assert str(err.value) == f"RsCpcParams {field} must be an integer, got {value!r}"
+
+    def test_whole_float_fields_read_as_integers(self):
+        params = RsCpcParams(4.0, 5.0, 3.0, 2.0)
+        assert params == RsCpcParams(4, 5, 3, 2)
+        assert all(type(v) is int for v in (params.n, params.p, params.k, params.alpha))
+
 
 class TestRsCpcConstruction:
     def test_small_family_shape(self):

@@ -60,6 +60,28 @@ class TestBinarySequence:
         assert x.ones == (1, 3) and all(type(o) is int for o in x.ones)
         assert seq(3, []).ones == () and seq(3, []).weight == 0
 
+    def test_positions_and_period_must_be_whole(self):
+        with pytest.raises(ValueError, match="^period must be an integer, got 5.5$"):
+            seq(5.5, [0])
+        with pytest.raises(ValueError, match="^period must be an integer, got True$"):
+            seq(True, [0])
+        with pytest.raises(ValueError, match="^ones position must be an integer, got 1.7$"):
+            seq(5, [0, 1.7])
+        with pytest.raises(ValueError, match="^ones position must be an integer, got True$"):
+            seq(5, [True, 3])
+        with pytest.raises(ValueError, match="^ones position must be an integer, got '1'$"):
+            BinarySequence.from_json({"period": 5, "ones": ["1"]})
+        # a whole float, numpy's included, reads as its integer
+        x = seq(np.int64(5), [np.float64(1.0), 3.0, np.int32(4)])
+        assert (x.period, x.ones) == (5, (1, 3, 4))
+        assert all(type(v) is int for v in (x.period, *x.ones))
+        assert BinarySequence.from_json({"period": 5.0, "ones": [1.0]}) == seq(5, [1])
+        # an iterator is read once, also where the fallback reads it
+        assert seq(5, iter([0, 2.0, 4])).ones == (0, 2, 4)
+        # out of range and out of order with a whole float: the range message
+        with pytest.raises(ValueError, match="ones positions must lie"):
+            seq(4, [5.0, 1])
+
     def test_from_bits_roundtrip(self):
         x = BinarySequence.from_bits([0, 1, 1, 0, 1])
         assert x.ones == (1, 2, 4)
