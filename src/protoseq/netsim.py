@@ -508,12 +508,12 @@ def _receiver_order(rx: np.ndarray, start: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     floor = np.floor(start).astype(np.int64)
     floor -= floor.min()
-    row_bits = (rows - 1).bit_length()
-    floor_bits = int(floor.max()).bit_length()
-    rx_bits = int(rx[-1] - rx[0]).bit_length()
+    rx_span, floor_span = int(rx[-1] - rx[0]), int(floor.max())
+    rx_bits, floor_bits, row_bits = (rx_span.bit_length(), floor_span.bit_length(),
+                                     (rows - 1).bit_length())
     if rx_bits + floor_bits + row_bits > 63:
-        raise ValueError(f"a block of {rows} rows over {int(rx[-1] - rx[0]) + 1} receivers "
-                         f"and {int(floor.max()) + 1} slots needs a sort key of "
+        raise ValueError(f"a block of {rows} rows over {rx_span + 1} receivers and "
+                         f"{floor_span + 1} slots needs a sort key of "
                          f"{rx_bits + floor_bits + row_bits} bits; at most 63 fit")
     key = rx.astype(np.int64)
     key -= key[0]
