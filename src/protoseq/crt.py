@@ -10,11 +10,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _EXPORTS
 from ._sizing import _is_prime, _min_code
-from .sequences import BinarySequence, SequenceSet, _pair_peaks, _require_coprime, crt_unmap
+from .sequences import BinarySequence, SequenceSet, _idempotents, _pair_peaks, crt_unmap
 
 __all__ = list(_EXPORTS["crt"])
 
@@ -23,13 +21,13 @@ def _crt_family(p: int, q: int, steps: list[tuple[int, int]], labels: list[str],
                 construction: str) -> SequenceSet:
     # member (a, b) of steps places its j-th one, j in [0, p), at the
     # position with residues (j*a mod p, j*b mod q)
-    _require_coprime(p, q)
+    e_p, e_q = _idempotents(p, q)
     if q < 2 * p - 1:
         raise ValueError(f"q must be at least 2p-1 = {2 * p - 1}, got {q}")
-    a, b = np.array(steps).T[:, :, None]
-    j = np.arange(p)
-    ones = np.sort(crt_unmap((j * a % p, j * b % q), p, q), axis=1).tolist()
-    return SequenceSet(tuple(BinarySequence(p * q, tuple(o)) for o in ones),
+    n = p * q
+    ones = [sorted([(j * a % p * e_p + j * b % q * e_q) % n for j in range(p)])
+            for a, b in steps]
+    return SequenceSet(tuple(BinarySequence(n, tuple(o)) for o in ones),
                        tuple(labels), {"construction": construction, "p": p, "q": q})
 
 
@@ -88,6 +86,7 @@ def _products(x: BinarySequence, ys: list[BinarySequence]) -> list[BinarySequenc
     """product(x, y) for every y of ys, which share a period, in one pass."""
     if not ys:
         return []
+    import numpy as np
     px, py = x.period, ys[0].period
     if math.gcd(px, py) != 1:
         raise ValueError(f"factor periods must be coprime, got ({px}, {py})")
@@ -167,6 +166,7 @@ def expanded_set(spec: ExpandedSetSpec) -> SequenceSet:
     unknown = ", ".join(repr(lab) for lab in spec.split_labels if lab not in base.labels)
     if unknown:
         raise ValueError(f"split label(s) not in the base set: {unknown}")
+    import numpy as np
     peak = _pair_peaks(base.sequences)
     over = np.argwhere(np.triu(peak > k - 1, 1))  # pairs i < j, in row-major order
     if over.size:

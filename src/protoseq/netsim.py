@@ -460,14 +460,6 @@ class ReceptionLog:
         count = np.bincount(self.loss_cause, minlength=len(LOSS_CAUSES) + 1)
         return {name: int(c) for name, c in zip(LOSS_CAUSES, count[1:])}
 
-    @property
-    def t_arrive_s(self) -> np.ndarray:
-        return self.arrive_slots * self.tau_s
-
-    @property
-    def t_end_s(self) -> np.ndarray:
-        return self.end_slots * self.tau_s
-
     def to_csv(self, path: str) -> None:
         ids = self.user_ids
         with open(path, "w") as fh:

@@ -13,9 +13,8 @@ for sizing comparisons and the comparison table built from them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _EXPORTS
 # the searches and the comparison table are integer-only and live where
@@ -23,7 +22,7 @@ from . import _EXPORTS
 from ._sizing import (ParamSearchError, SelectedParams, _config_int, _is_prime,
                       baseline_compare, length_bounds, select_params_prop1,
                       select_params_prop2)
-from .sequences import BinarySequence, SequenceSet, crt_unmap
+from .sequences import BinarySequence, SequenceSet, _idempotents
 
 __all__ = list(_EXPORTS["rscpc"])
 
@@ -99,14 +98,31 @@ def rs_cpc(params: RsCpcParams) -> SequenceSet:
     """
     n, p, k = params.n, params.p, params.k
     alpha = params.resolved_alpha()
+    period = n * p
+    e_row, e_col = _idempotents(p, n)
     points = [pow(alpha, j, p) for j in range(n)]
-    # messages in lexicographic order, one row each, against x^2..x^(k-1)
-    msgs = np.indices((p,) * (k - 2)).reshape(k - 2, -1).T
-    powers = np.array([[pow(x, i, p) for x in points] for i in range(2, k)])
-    rows = (msgs @ powers + points) % p
-    ones = np.sort(crt_unmap((rows, np.arange(n)), p, n), axis=1)
-    seqs = [BinarySequence(n * p, tuple(o)) for o in ones.tolist()]
-    labels = [",".join(map(str, m)) for m in msgs.tolist()]
+    # with c_j = x_j^(k-1), a unit, column j's row is c_j*(t_j + m_{k-1})
+    # mod p for t_j = (x_j + m_2 x_j² + … + m_{k-2} x_j^(k-2)) / c_j; so
+    # its ones for the p messages sharing m_2..m_{k-2} are the slice
+    # [t_j, t_j + p) of the positions of its rows 0, c_j, 2c_j, …, twice over
+    tables = []
+    for j, x in enumerate(points):
+        c = pow(x, k - 1, p)
+        placed = [(c * s % p * e_row + j * e_col) % period for s in range(p)]
+        tables.append(placed + placed)
+    # t for every m_2..m_{k-2} in lexicographic order: m_i adds x_j^i / c_j
+    starts = [[pow(x, 2 - k, p) for x in points]]
+    for i in range(2, k - 1):
+        step = [pow(x, i + 1 - k, p) for x in points]
+        starts = [[(t + m * d) % p for t, d in zip(row, step)]
+                  for row in starts for m in range(p)]
+    digits = [str(m) for m in range(p)]
+    seqs, labels = [], []
+    for prefix, row in zip(itertools.product(digits, repeat=k - 3), starts):
+        members = zip(*[tab[t:t + p] for tab, t in zip(tables, row)])
+        seqs += [BinarySequence(period, tuple(sorted(ones))) for ones in members]
+        head = "".join(f"{m}," for m in prefix)
+        labels += [head + d for d in digits]
     meta = {"construction": "rs_cpc", "n": n, "p": p, "k": k, "alpha": alpha}
     return SequenceSet(tuple(seqs), tuple(labels), meta)
 

@@ -13,13 +13,16 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _EXPORTS
 # defined where importing them loads no numpy; re-exported here
 from ._sizing import _config_int, _is_prime, _require_keys, json_text  # noqa: F401
+
+# numpy is imported inside the functions that compute with arrays, so that
+# building and saving a set loads none
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = list(_EXPORTS["sequences"])
 
@@ -73,6 +76,7 @@ class BinarySequence:
         return len(self.ones)
 
     def bits(self) -> np.ndarray:
+        import numpy as np
         out = np.zeros(self.period, dtype=np.uint8)
         out[list(self.ones)] = 1
         return out
@@ -124,6 +128,7 @@ def xcorr_profile(x: BinarySequence, y: BinarySequence) -> np.ndarray:
     """All-shift Hamming cross-correlation, index t -> hamming_xcorr(x, y, t)."""
     if x.period != y.period:
         raise ValueError("sequences must share a period")
+    import numpy as np
     n = x.period
     a = np.asarray(x.ones, dtype=np.int64)
     b = np.asarray(y.ones, dtype=np.int64)
@@ -139,6 +144,7 @@ def pairwise_xcorr_peaks(seqs: Sequence[BinarySequence]) -> tuple[np.ndarray, ..
     Returns int64 arrays (i, j, peak, shift): peak is the maximum over t of
     xcorr_profile(seqs[i], seqs[j])[t] and shift the first t reaching it.
     """
+    import numpy as np
     first, second = (a.astype(np.int64) for a in np.triu_indices(len(seqs), 1))
     peak, shift = np.zeros_like(first), np.zeros_like(first)
     at = 0
@@ -153,6 +159,7 @@ def pairwise_xcorr_peaks(seqs: Sequence[BinarySequence]) -> tuple[np.ndarray, ..
 def _pair_peaks(seqs: Sequence[BinarySequence]) -> np.ndarray:
     """The peaks of pairwise_xcorr_peaks, without locating the shifts, as a
     symmetric k × k matrix with a zero diagonal."""
+    import numpy as np
     k = len(seqs)
     peak = np.zeros((k, k), dtype=np.int64)
     for i, prof in enumerate(_profile_rows(seqs)):
@@ -177,6 +184,7 @@ def _profile_rows(seqs: Sequence[BinarySequence]) -> Iterator[np.ndarray]:
     k = len(seqs)
     if k < 2:
         return
+    import numpy as np
     sizes = [x.weight for x in seqs]
     flat = np.fromiter(itertools.chain.from_iterable(x.ones for x in seqs),
                        dtype=np.int64, count=sum(sizes))
@@ -213,6 +221,7 @@ def cyclic_min_distance(seqs: Sequence[BinarySequence]) -> int:
     """
     if len(seqs) < 2:
         raise ValueError("need at least two sequences")
+    import numpy as np
     weight = np.asarray([x.weight for x in seqs])
     dist = weight[:, None] + weight - 2 * _pair_peaks(seqs)
     return int(dist[~np.eye(len(seqs), dtype=bool)].min())
@@ -251,14 +260,20 @@ def crt_map(l: int, p: int, q: int) -> CrtIndexPair:
 def crt_unmap(pair, p: int, q: int):
     """Inverse of crt_map: the unique l in [0, pq) with the given residues.
 
-    l = r*e_p + c*e_q mod pq, where e_p is 1 mod p and 0 mod q and e_q the
-    other way round.  The residues r and c may be ints, mapped exactly, or
-    int64 arrays, mapped element-wise as numpy broadcasts them.
+    l = r*e_p + c*e_q mod pq for the idempotents (e_p, e_q) of _idempotents.
+    The residues r and c may be ints, mapped exactly, or int64 arrays,
+    mapped element-wise as numpy broadcasts them.
     """
-    _require_coprime(p, q)
+    e_p, e_q = _idempotents(p, q)
     r, c = pair
+    return (r * e_p + c * e_q) % (p * q)
+
+
+def _idempotents(p: int, q: int) -> tuple[int, int]:
+    """(e_p, e_q) in [0, pq): e_p is 1 mod p and 0 mod q, e_q the other way round."""
+    _require_coprime(p, q)
     n = p * q
-    return (r * (q * pow(q, -1, p) % n) + c * (p * pow(p, -1, q) % n)) % n
+    return q * pow(q, -1, p) % n, p * pow(p, -1, q) % n
 
 
 def _require_coprime(p: int, q: int) -> None:
@@ -331,7 +346,10 @@ class SequenceSet:
         for i, entry in enumerate(items):
             if isinstance(entry, Mapping) and "bits" not in entry:
                 _require_keys(entry, ("period", "ones"), f"sequence entry {i}")
-            seqs.append(BinarySequence.from_json(entry))
+            try:
+                seqs.append(BinarySequence.from_json(entry))
+            except ValueError as e:
+                raise ValueError(f"sequence entry {i}: {e}") from None
             labels.append(str(entry.get("label", i) if isinstance(entry, Mapping) else i))
         return cls(tuple(seqs), tuple(labels), meta)
 

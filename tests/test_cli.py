@@ -174,12 +174,15 @@ class TestMalformedConfigValues:
         ({"sequences": [{"period": 5, "ones": [0]}, {"period": 5, "label": "b"}]},
          "sequence entry 1 is missing required key(s): 'ones'"),
         ({"sequences": [{"period": 5.5, "ones": [0, 1.7]}, {"period": 5, "ones": [2]}]},
-         "period must be an integer, got 5.5"),
+         "sequence entry 0: period must be an integer, got 5.5"),
         ({"sequences": [{"period": 5, "ones": [0, 1.7]}, {"period": 5, "ones": [2]}]},
-         "ones position must be an integer, got 1.7"),
+         "sequence entry 0: ones position must be an integer, got 1.7"),
+        ({"sequences": [{"period": 5, "ones": [0]}, {"period": 5, "ones": [0, 1.7]}]},
+         "sequence entry 1: ones position must be an integer, got 1.7"),
     ], ids=["float-p", "bool-p", "float-q", "float-n", "float-k", "string-alpha",
             "float-G", "float-delta", "float-M", "float-pad", "string-select",
-            "string-split", "entry-without-ones", "float-period", "float-position"])
+            "string-split", "entry-without-ones", "float-period", "float-position",
+            "float-position-in-entry-1"])
     def test_set_config_value_is_named(self, cfg, message, tmp_path, capsys):
         base = tmp_path / "b.json"
         assert run("gen", "rs_cpc", "--n", "5", "--p", "11", "--k", "3",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,15 @@ def crt_member_oracle(p, q, g):
     return tuple(sorted(crt_unmap(((j * g) % p, j % q), p, q) for j in range(p)))
 
 
+def crt_family_array_oracle(p, q, steps):
+    """Array oracle for the residue-pair families: member (a, b)'s ones at
+    crt_unmap((j*a mod p, j*b mod q)) for all j at once, sorted per row."""
+    a, b = np.array(steps).T[:, :, None]
+    j = np.arange(p)
+    return [tuple(o) for o in
+            np.sort(crt_unmap((j * a % p, j * b % q), p, q), axis=1).tolist()]
+
+
 class TestCrtFamiliesAgainstOracle:
     @pytest.mark.parametrize("p", range(1, 14))
     def test_every_member(self, p):
@@ -30,6 +40,14 @@ class TestCrtFamiliesAgainstOracle:
             assert [x.ones for x in s0.sequences] == [
                 *(crt_member_oracle(p, q, g) for g in gens), star]
             assert {x.period for x in s.sequences + s0.sequences} == {p * q}
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 9, 11, 13, 17, 23])
+    def test_every_member_against_the_array_oracle(self, p):
+        for q in [q for q in range(2 * p - 1, 2 * p + 9) if math.gcd(p, q) == 1][:3]:
+            assert [x.ones for x in crt_set(p, q).sequences] == crt_family_array_oracle(
+                p, q, [(g, 1) for g in range(p)])
+            assert [x.ones for x in crt0_set(p, q).sequences] == crt_family_array_oracle(
+                p, q, [(g, 1) for g in [0, *range(2, p)]] + [(1, 0)])
 
 
 class TestCrtSet:

@@ -61,6 +61,19 @@ def loaded_by(argv):
     return doc["exit"], {m.removeprefix("protoseq.") for m in doc["modules"]}
 
 
+# the constructions gen builds in integer arithmetic, unpadded and padded
+INTEGER_GEN = [
+    ["gen", "crt", "--p", "3", "--q", "5"],
+    ["gen", "crt", "--p", "3", "--q", "5", "--pad", "2"],
+    ["gen", "crt0", "--p", "3", "--q", "5"],
+    ["gen", "crt0", "--p", "3", "--q", "5", "--pad", "2"],
+    ["gen", "rs_cpc", "--n", "16", "--p", "17", "--k", "4"],
+    ["gen", "rs_cpc", "--n", "16", "--p", "17", "--k", "4", "--pad", "1"],
+    ["gen", "tdma", "--g", "4", "--delta", "1"],
+    ["gen", "tdma", "--g", "4", "--delta", "1", "--pad", "2"],
+]
+
+
 def sim_config(tmp_path, pad_slots=3):
     """A two-user scenario file on crt0(3, 5), padded by `pad_slots`."""
     cfg = {"tau_s": 1e-3, "L": 15 * (pad_slots + 1), "F": 3,
@@ -81,6 +94,28 @@ class TestColdImport:
                        "print(json.dumps(sorted(m for m in sys.modules "
                        "if m.partition('.')[0] in ('numpy', 'protoseq'))))")
         assert loaded == ["protoseq"]
+
+    def test_sequences_loads_no_numpy(self):
+        loaded = child("import json, sys\nimport protoseq.sequences\n"
+                       "print(json.dumps('numpy' in sys.modules))")
+        assert loaded is False
+
+    @pytest.mark.parametrize("argv", INTEGER_GEN)
+    def test_integer_constructions_load_no_numpy(self, argv, tmp_path):
+        code, loaded = loaded_by([*argv, "--out", str(tmp_path / "set.json")])
+        assert code == 0
+        assert "numpy" not in loaded
+
+    def test_expanded_loads_numpy(self, tmp_path):
+        # the base audit and the products compute with arrays
+        base, out = tmp_path / "base.json", tmp_path / "expanded.json"
+        code, loaded = loaded_by(["gen", "rs_cpc", "--n", "8", "--p", "17", "--k", "3",
+                                  "--out", str(base)])
+        assert (code, "numpy" in loaded) == (0, False)
+        code, loaded = loaded_by(["gen", "expanded", "--base", str(base), "--p", "3",
+                                  "--m", "3", "--out", str(out)])
+        assert (code, "numpy" in loaded) == (0, True)
+        assert len(json.loads(out.read_text())["sequences"]) == 17
 
     def test_verify_skips_netsim_and_hexalloc(self):
         code, loaded = loaded_by(["verify", "ui", "--config",
@@ -153,8 +188,8 @@ def run_cli(argv, cwd, *path):
 
 
 class TestWithoutNumpy:
-    """The sizing commands run, byte for byte the same, where numpy cannot
-    be imported."""
+    """The sizing commands and the integer constructions run, byte for byte
+    the same, where numpy cannot be imported."""
 
     @pytest.fixture()
     def stub(self, tmp_path):
@@ -170,6 +205,7 @@ class TestWithoutNumpy:
         ["compare", "--m", "5", "--g", "37", "--delta", "2"],
         ["compare", "--m", "5", "--g", "37", "--delta", "2", "--format", "csv"],
         ["alloc", "--r", "2000", "--h", "1"],
+        *INTEGER_GEN,
     ])
     def test_sizing_commands_match_a_normal_run(self, argv, stub, tmp_path):
         written = []
@@ -182,7 +218,8 @@ class TestWithoutNumpy:
 
     def test_stub_blocks_numpy(self, stub, tmp_path):
         # the stub works: a command that needs numpy fails on it
-        proc = run_cli(["gen", "crt0", "--p", "3", "--q", "5"], tmp_path, stub)
+        proc = run_cli(["verify", "ui", "--config", '{"construction":"crt0","p":3,"q":5}'],
+                       tmp_path, stub)
         assert proc.returncode != 0
         assert "numpy is not installed" in proc.stderr
 

@@ -37,6 +37,22 @@ def rs_cpc_oracle(params):
     return SequenceSet(tuple(seqs), tuple(labels), meta)
 
 
+def rs_cpc_array_oracle(params):
+    """Array oracle for rs_cpc: every message's rows as one matrix product,
+    then crt_unmap and a sort per row, as numpy broadcasts them."""
+    n, p, k = params.n, params.p, params.k
+    alpha = params.resolved_alpha()
+    points = [pow(alpha, j, p) for j in range(n)]
+    msgs = np.indices((p,) * (k - 2)).reshape(k - 2, -1).T
+    powers = np.array([[pow(x, i, p) for x in points] for i in range(2, k)])
+    rows = (msgs @ powers + points) % p
+    ones = np.sort(crt_unmap((rows, np.arange(n)), p, n), axis=1)
+    seqs = [BinarySequence(n * p, tuple(o)) for o in ones.tolist()]
+    labels = [",".join(map(str, m)) for m in msgs.tolist()]
+    meta = {"construction": "rs_cpc", "n": n, "p": p, "k": k, "alpha": alpha}
+    return SequenceSet(tuple(seqs), tuple(labels), meta)
+
+
 class TestElementOfOrder:
     def test_known_values(self):
         assert element_of_order(5, 11) == 3
@@ -143,6 +159,19 @@ class TestRsCpcConstruction:
         RsCpcParams(n=16, p=17, k=4)], ids=str)
     def test_matches_scalar_oracle(self, params):
         assert rs_cpc(params).to_json() == rs_cpc_oracle(params).to_json()
+
+    # k = 3, 4 and 5; n a proper divisor of p - 1 and n = p - 1; alpha
+    # defaulted and given
+    @pytest.mark.parametrize("params", [
+        RsCpcParams(n=5, p=11, k=3), RsCpcParams(n=5, p=11, k=3, alpha=4),
+        RsCpcParams(n=10, p=11, k=3), RsCpcParams(n=10, p=11, k=3, alpha=7),
+        RsCpcParams(n=6, p=13, k=4), RsCpcParams(n=6, p=13, k=4, alpha=10),
+        RsCpcParams(n=12, p=13, k=4), RsCpcParams(n=12, p=13, k=4, alpha=6),
+        RsCpcParams(n=16, p=17, k=4),
+        RsCpcParams(n=6, p=13, k=5), RsCpcParams(n=6, p=13, k=5, alpha=10),
+        RsCpcParams(n=6, p=7, k=5), RsCpcParams(n=6, p=7, k=5, alpha=5)], ids=str)
+    def test_matches_array_oracle(self, params):
+        assert rs_cpc(params).to_json() == rs_cpc_array_oracle(params).to_json()
 
     def test_cyclically_distinct(self):
         s = rs_cpc(RsCpcParams(n=5, p=11, k=3))

@@ -324,6 +324,19 @@ class TestSequenceSet:
         with pytest.raises(ValueError):
             SequenceSet((seq(6, [0]), seq(6, [1])), ("a", "a"))
 
+    def test_bad_entry_is_named(self):
+        # a bad member says which entry it is, however many the set holds
+        for entries, message in [
+                ([{"period": 5, "ones": [0]}, {"period": 5, "ones": [0, 1.7]}],
+                 "sequence entry 1: ones position must be an integer, got 1.7"),
+                ([{"period": 5, "ones": [0]}, "01101", {"period": 5, "ones": [4, 2]}],
+                 "sequence entry 2: ones must be strictly increasing and unique"),
+                ([{"bits": "01", "period": 3}],
+                 "sequence entry 0: period does not match dense form length")]:
+            with pytest.raises(ValueError) as err:
+                SequenceSet.from_json({"sequences": entries})
+            assert str(err.value) == message
+
     def test_select(self):
         s = self.make()
         t = s.select(["b"])
